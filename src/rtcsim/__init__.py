@@ -7,9 +7,9 @@ perspective of a host vehicle. Runs offline or paced against the wall clock
 with a UDP hardware-in-the-loop delivery boundary.
 """
 
-from .channel import (PathLossKind, PathLossModel, RadioConfig,
-                      default_fowlerville, default_three_log_distance,
-                      is_hidden, path_loss_db, resolve_capture, rss_dbm)
+from .channel import (PathLossModel, RadioConfig, default_fowlerville,
+                      default_three_log_distance, is_hidden, path_loss_db,
+                      resolve_capture, rss_dbm)
 from .errors import (ConfigError, RealtimeViolationError, RtcsimError,
                      SchedulingError, TraceParseError, ValidationError)
 from .mac import (KeyedBackoffRng, MacParams, Outcome, OverlapState, Packet,

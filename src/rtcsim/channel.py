@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Sequence
 
@@ -31,11 +30,6 @@ from .errors import ValidationError
 SHADOWING_QUANTUM_M = 1.0
 
 
-class PathLossKind(Enum):
-    THREE_LOG_DISTANCE = "three_log_distance"
-    FOWLERVILLE = "fowlerville"
-
-
 @dataclass(frozen=True)
 class PathLossModel:
     """Piecewise log-distance attenuation curve.
@@ -46,7 +40,6 @@ class PathLossModel:
     boundary (the last exponent extends to infinity).
     """
 
-    kind: PathLossKind
     boundaries_m: tuple[float, ...]
     exponents: tuple[float, ...]
     ref_loss_db: float
@@ -70,38 +63,12 @@ class PathLossModel:
         if self.shadowing_sigma_db < 0:
             raise ValidationError("shadowing sigma must be non-negative")
 
-    @classmethod
-    def three_log_distance(cls, d0_m: float, d1_m: float, d2_m: float,
-                           n0: float, n1: float, n2: float,
-                           ref_loss_db: float) -> "PathLossModel":
-        return cls(
-            kind=PathLossKind.THREE_LOG_DISTANCE,
-            boundaries_m=(float(d0_m), float(d1_m), float(d2_m)),
-            exponents=(float(n0), float(n1), float(n2)),
-            ref_loss_db=float(ref_loss_db),
-        )
-
-    @classmethod
-    def fowlerville(cls, boundaries_m: Sequence[float], exponents: Sequence[float],
-                    ref_loss_db: float, shadowing_sigma_db: float = 0.0,
-                    shadowing_seed: int = 0) -> "PathLossModel":
-        return cls(
-            kind=PathLossKind.FOWLERVILLE,
-            boundaries_m=tuple(float(b) for b in boundaries_m),
-            exponents=tuple(float(n) for n in exponents),
-            ref_loss_db=float(ref_loss_db),
-            shadowing_sigma_db=float(shadowing_sigma_db),
-            shadowing_seed=int(shadowing_seed),
-        )
-
 
 def default_three_log_distance() -> PathLossModel:
     """Stock three-region profile (1 m / 200 m / 500 m breakpoints)."""
-    return PathLossModel.three_log_distance(
-        d0_m=1.0, d1_m=200.0, d2_m=500.0,
-        n0=1.9, n1=3.8, n2=3.8,
-        ref_loss_db=46.6777,
-    )
+    return PathLossModel(boundaries_m=(1.0, 200.0, 500.0),
+                         exponents=(1.9, 3.8, 3.8),
+                         ref_loss_db=46.6777)
 
 
 def default_fowlerville() -> PathLossModel:
@@ -111,13 +78,11 @@ def default_fowlerville() -> PathLossModel:
     values are engineering defaults chosen to sit between free space and the
     three-region profile; override them in the config document as needed.
     """
-    return PathLossModel.fowlerville(
-        boundaries_m=(1.0, 50.0, 150.0, 400.0),
-        exponents=(2.0, 2.7, 3.0, 3.2),
-        ref_loss_db=47.86,
-        shadowing_sigma_db=3.0,
-        shadowing_seed=12345,
-    )
+    return PathLossModel(boundaries_m=(1.0, 50.0, 150.0, 400.0),
+                         exponents=(2.0, 2.7, 3.0, 3.2),
+                         ref_loss_db=47.86,
+                         shadowing_sigma_db=3.0,
+                         shadowing_seed=12345)
 
 
 @dataclass(frozen=True)

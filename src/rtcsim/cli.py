@@ -126,7 +126,7 @@ def _materialize_scenario(cfg: RunConfig) -> Scenario:
     log.info("generating %s scenario with %d vehicles (seed %d)",
              cfg.topology_spec.kind.value, cfg.topology_spec.vehicle_count, cfg.seed)
     return generate_topology(cfg.topology_spec, cfg.speed_mps, cfg.duration_s,
-                             cfg.seed, tx_rate_hz=cfg.mac.tx_rate_hz)
+                             cfg.seed, tx_rate_hz=cfg.tx_rate_hz)
 
 
 def cmd_gen(args) -> int:
@@ -242,15 +242,17 @@ def cmd_report(args) -> int:
         if not lines:
             continue
         header = lines[0]
-        rows.extend(lines[1:])
+        for line in lines[1:]:
+            parts = line.split(",")
+            try:
+                # channel, topology, density ascending
+                rows.append(((parts[3], parts[1], int(parts[2])), line))
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}: malformed summary row '{line}'") from None
 
-    def sort_key(line: str):
-        parts = line.split(",")
-        # channel, topology, density ascending
-        return (parts[3], parts[1], int(parts[2]))
-
-    rows.sort(key=sort_key)
-    merged = "\n".join([header or metrics.SimReport.CSV_HEADER] + rows) + "\n"
+    rows.sort(key=lambda row: row[0])
+    merged = "\n".join([header or metrics.SimReport.CSV_HEADER]
+                       + [line for _, line in rows]) + "\n"
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)

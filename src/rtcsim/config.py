@@ -1,85 +1,29 @@
 """Run configuration: one INI-style document plus command-line overrides.
 
-Every tunable lives in the document below; `--set section.key=value` patches
-individual entries and `--dump-config` echoes the effective document in a
-form that parses back to the same configuration.
+The document's defaults are read from the objects that own them (the
+RadioConfig and MacParams field defaults, the two bundled channel profiles
+and the metric defaults), so each constant has a single source.
+`--set section.key=value` patches individual entries and `--dump-config`
+echoes the effective document in a form that parses back to the same
+configuration. Sections and keys the document does not define, and values
+that do not parse as their entry's type, are configuration errors.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
-from .channel import PathLossModel, RadioConfig
+from . import metrics
+from .channel import (PathLossModel, RadioConfig, default_fowlerville,
+                      default_three_log_distance)
 from .errors import ConfigError
 from .mac import MacParams, PdMode
-from .scenario import Topology, TopologySpec
-
-# Threshold and channel-profile values below are engineering defaults, not
-# published constants; override them freely per experiment.
-DEFAULT_CONFIG = """\
-[scenario]
-topology = disk
-radius_m = 500
-length_m = 3000
-arm_length_m = 750
-vehicles = 100
-speed_mps = 10.0
-trace_dir =
-hv_x =
-hv_y =
-
-[run]
-duration_s = 20.0
-seed = 1
-mode = batch
-out = out
-channel_profile = three_log_distance
-emit_udp =
-null_sink = false
-hv_transmits = true
-
-[radio]
-tx_power_dbm = 20.0
-cs_threshold_dbm = -94.0
-rx_sensitivity_dbm = -91.0
-capture_margin_db = 5.0
-noise_floor_dbm = -99.0
-
-[mac]
-slot_time_us = 13.0
-sifs_us = 32.0
-cw_min = 0
-cw_max = 15
-tx_interval_us = 520.0
-pd_mode = fixed
-pd_us = 3.0
-tx_rate_hz = 10.0
-
-[metrics]
-cbp_window_s = 0.1
-per_bin_m = 25.0
-per_max_distance_m = 400.0
-
-[channel.three_log_distance]
-d0_m = 1.0
-d1_m = 200.0
-d2_m = 500.0
-n0 = 1.9
-n1 = 3.8
-n2 = 3.8
-ref_loss_db = 46.6777
-
-[channel.fowlerville]
-boundaries_m = 1.0, 50.0, 150.0, 400.0
-exponents = 2.0, 2.7, 3.0, 3.2
-ref_loss_db = 47.86
-shadowing_sigma_db = 3.0
-shadowing_seed = 12345
-"""
+from .scenario import DEFAULT_TX_RATE_HZ, Topology, TopologySpec
 
 
 @dataclass
@@ -89,6 +33,7 @@ class RunConfig:
     speed_mps: float
     duration_s: float
     seed: int
+    tx_rate_hz: float
     mode: str                    # "batch" | "realtime"
     out_dir: Path
     channel_profile: str
@@ -111,16 +56,57 @@ class RunConfig:
                 f"channel profile '{self.channel_profile}' is not defined") from None
 
 
-def _parser_with_defaults() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(DEFAULT_CONFIG)
-    return parser
+def _default_document() -> dict[str, dict[str, object]]:
+    """Every section and key of the config document with its default value.
+
+    The default's type is the entry's type: str, bool, int, float, a tuple
+    of floats, PdMode, or None for a number that may be left empty. MAC
+    times are stored in seconds but written in microseconds (``_us`` keys).
+    """
+    mac = {}
+    for name, value in asdict(MacParams()).items():
+        if name.endswith("_s"):
+            name, value = name[:-2] + "_us", value * 1e6
+        mac[name] = value
+    mac["tx_rate_hz"] = DEFAULT_TX_RATE_HZ
+    three = default_three_log_distance()
+    return {
+        "scenario": {"topology": "disk", "radius_m": 500.0, "length_m": 3000.0,
+                     "arm_length_m": 750.0, "vehicles": 100, "speed_mps": 10.0,
+                     "trace_dir": "", "hv_x": None, "hv_y": None},
+        "run": {"duration_s": 20.0, "seed": 1, "mode": "batch", "out": "out",
+                "channel_profile": "three_log_distance", "emit_udp": "",
+                "null_sink": False, "hv_transmits": True},
+        "radio": asdict(RadioConfig()),
+        "mac": mac,
+        "metrics": {"cbp_window_s": metrics.DEFAULT_CBP_WINDOW_S,
+                    "per_bin_m": metrics.DEFAULT_PER_BIN_M,
+                    "per_max_distance_m": metrics.DEFAULT_PER_MAX_DISTANCE_M},
+        "channel.three_log_distance": {
+            **{f"d{i}_m": d for i, d in enumerate(three.boundaries_m)},
+            **{f"n{i}": n for i, n in enumerate(three.exponents)},
+            "ref_loss_db": three.ref_loss_db},
+        "channel.fowlerville": asdict(default_fowlerville()),
+    }
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    if isinstance(value, PdMode):
+        return value.value
+    return "" if value is None else str(value)
 
 
 def read_config_document(path: Optional[str] = None,
                          overrides: Optional[list[str]] = None) -> configparser.ConfigParser:
     """Defaults, overlaid by a config file, overlaid by --set pairs."""
-    parser = _parser_with_defaults()
+    defaults = _default_document()
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict({section: {key: _format(value) for key, value in entries.items()}
+                      for section, entries in defaults.items()})
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -128,15 +114,17 @@ def read_config_document(path: Optional[str] = None,
         except (OSError, configparser.Error) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for item in overrides or []:
-        if "=" not in item:
+        key, equals, value = item.partition("=")
+        section, dot, option = key.strip().rpartition(".")
+        if not (equals and dot):
             raise ConfigError(f"--set needs section.key=value, got '{item}'")
-        key, _, value = item.partition("=")
-        if "." not in key:
-            raise ConfigError(f"--set key must be section.key, got '{key}'")
-        section, _, option = key.strip().rpartition(".")
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, option.strip(), value.strip())
+        parser.read_dict({section: {option.strip(): value.strip()}})
+    for section in parser.sections():
+        if section not in defaults:
+            raise ConfigError(f"unknown config section [{section}]")
+        for option in parser.options(section):
+            if option not in defaults[section]:
+                raise ConfigError(f"unknown config key [{section}] {option}")
     return parser
 
 
@@ -146,38 +134,43 @@ def dump_config(parser: configparser.ConfigParser) -> str:
     return buf.getvalue()
 
 
-def _get(parser, section, option, conv, what):
-    try:
-        raw = parser.get(section, option)
-    except configparser.Error as exc:
-        raise ConfigError(f"missing config entry [{section}] {option}") from exc
-    try:
-        return conv(raw)
-    except (ValueError, TypeError):
-        raise ConfigError(
-            f"config entry [{section}] {option} = '{raw}' is not a valid {what}"
-        ) from None
+_KINDS = {bool: "boolean", int: "integer", float: "finite number",
+          tuple: "list of finite numbers", type(None): "finite number or empty",
+          PdMode: "pd mode (fixed or per_pair)"}
 
 
-def _get_float(parser, section, option) -> float:
-    return _get(parser, section, option, float, "number")
+def _parse(text: str, default):
+    """``text`` read as the type of ``default``; raises KeyError or ValueError."""
+    if isinstance(default, str):
+        return text
+    if isinstance(default, bool):
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if isinstance(default, int):
+        return int(text)
+    if isinstance(default, PdMode):
+        # by value or by member name
+        return PdMode.__members__.get(text.upper()) or PdMode(text.lower())
+    if default is None and not text:
+        return None
+    numbers = [float(part) for part in text.split(",") if part.strip()]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"'{text}' is not finite")
+    return tuple(numbers) if isinstance(default, tuple) else float(text)
 
 
-def _get_int(parser, section, option) -> int:
-    return _get(parser, section, option, int, "integer")
-
-
-def _get_bool(parser, section, option) -> bool:
-    raw = parser.get(section, option).strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"config entry [{section}] {option} = '{raw}' is not a boolean")
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+def _values(parser: configparser.ConfigParser) -> dict[str, dict[str, object]]:
+    """Every document entry converted to the type of its default."""
+    out: dict[str, dict[str, object]] = {}
+    for section, entries in _default_document().items():
+        out[section] = {}
+        for key, default in entries.items():
+            text = parser.get(section, key, fallback=_format(default)).strip()
+            try:
+                out[section][key] = _parse(text, default)
+            except (KeyError, ValueError):
+                raise ConfigError(f"config entry [{section}] {key} = '{text}' is not "
+                                  f"a valid {_KINDS[type(default)]}") from None
+    return out
 
 
 def parse_endpoint(raw: str) -> tuple[str, int]:
@@ -191,24 +184,20 @@ def parse_endpoint(raw: str) -> tuple[str, int]:
 
 
 def build_run_config(parser: configparser.ConfigParser) -> RunConfig:
-    topology_raw = parser.get("scenario", "topology").strip().lower()
-    trace_dir_raw = parser.get("scenario", "trace_dir").strip()
-    vehicles = _get_int(parser, "scenario", "vehicles")
+    values = _values(parser)
+    scenario, run, mac = values["scenario"], values["run"], values["mac"]
 
-    hv_position = None
-    hv_x = parser.get("scenario", "hv_x").strip()
-    hv_y = parser.get("scenario", "hv_y").strip()
-    if hv_x or hv_y:
-        if not (hv_x and hv_y):
-            raise ConfigError("hv_x and hv_y must be set together")
-        hv_position = (float(hv_x), float(hv_y))
+    hv_position = (scenario["hv_x"], scenario["hv_y"])
+    if hv_position.count(None) == 1:
+        raise ConfigError("hv_x and hv_y must be set together")
 
+    topology_raw = scenario["topology"].lower()
     topology_spec = None
     trace_dir = None
     if topology_raw == "traces":
-        if not trace_dir_raw:
+        if not scenario["trace_dir"]:
             raise ConfigError("topology = traces requires scenario.trace_dir")
-        trace_dir = Path(trace_dir_raw)
+        trace_dir = Path(scenario["trace_dir"])
     else:
         try:
             kind = Topology(topology_raw)
@@ -216,91 +205,56 @@ def build_run_config(parser: configparser.ConfigParser) -> RunConfig:
             raise ConfigError(
                 f"unknown topology '{topology_raw}' "
                 f"(expected disk, linear, intersection, or traces)") from None
-        if vehicles < 1:
-            raise ConfigError("scenario.vehicles must be >= 1")
         topology_spec = TopologySpec(
             kind=kind,
-            vehicle_count=vehicles,
-            radius_m=_get_float(parser, "scenario", "radius_m"),
-            length_m=_get_float(parser, "scenario", "length_m"),
-            arm_length_m=_get_float(parser, "scenario", "arm_length_m"),
-            hv_position=hv_position,
+            vehicle_count=scenario["vehicles"],
+            radius_m=scenario["radius_m"],
+            length_m=scenario["length_m"],
+            arm_length_m=scenario["arm_length_m"],
+            hv_position=None if None in hv_position else hv_position,
         )
 
-    mode = parser.get("run", "mode").strip().lower()
+    mode = run["mode"].lower()
     if mode not in ("batch", "realtime"):
         raise ConfigError(f"run.mode must be batch or realtime, got '{mode}'")
-
-    emit_raw = parser.get("run", "emit_udp").strip()
-    emit_udp = parse_endpoint(emit_raw) if emit_raw else None
-    null_sink = _get_bool(parser, "run", "null_sink")
-    if mode == "realtime" and emit_udp is None and not null_sink:
+    emit_udp = parse_endpoint(run["emit_udp"]) if run["emit_udp"] else None
+    if mode == "realtime" and emit_udp is None and not run["null_sink"]:
         raise ConfigError(
             "realtime mode requires run.emit_udp or run.null_sink = true")
 
-    radio = RadioConfig(
-        tx_power_dbm=_get_float(parser, "radio", "tx_power_dbm"),
-        cs_threshold_dbm=_get_float(parser, "radio", "cs_threshold_dbm"),
-        rx_sensitivity_dbm=_get_float(parser, "radio", "rx_sensitivity_dbm"),
-        capture_margin_db=_get_float(parser, "radio", "capture_margin_db"),
-        noise_floor_dbm=_get_float(parser, "radio", "noise_floor_dbm"),
-    )
+    tx_rate_hz = mac.pop("tx_rate_hz")
+    mac_fields = {}
+    for key, value in mac.items():
+        if key.endswith("_us"):
+            key, value = key[:-3] + "_s", value * 1e-6
+        mac_fields[key] = value
 
-    pd_mode_raw = parser.get("mac", "pd_mode").strip().lower()
-    if pd_mode_raw == "fixed":
-        pd_mode = PdMode.FIXED
-    elif pd_mode_raw in ("per_pair", "per_pair_speed_of_light"):
-        pd_mode = PdMode.PER_PAIR_SPEED_OF_LIGHT
-    else:
-        raise ConfigError(f"mac.pd_mode must be fixed or per_pair, got '{pd_mode_raw}'")
-
-    mac = MacParams(
-        slot_time_s=_get_float(parser, "mac", "slot_time_us") * 1e-6,
-        sifs_s=_get_float(parser, "mac", "sifs_us") * 1e-6,
-        cw_min=_get_int(parser, "mac", "cw_min"),
-        cw_max=_get_int(parser, "mac", "cw_max"),
-        tx_interval_s=_get_float(parser, "mac", "tx_interval_us") * 1e-6,
-        pd_mode=pd_mode,
-        pd_s=_get_float(parser, "mac", "pd_us") * 1e-6,
-        tx_rate_hz=_get_float(parser, "mac", "tx_rate_hz"),
-    )
-
+    three = values["channel.three_log_distance"]
     models = {
-        "three_log_distance": PathLossModel.three_log_distance(
-            d0_m=_get_float(parser, "channel.three_log_distance", "d0_m"),
-            d1_m=_get_float(parser, "channel.three_log_distance", "d1_m"),
-            d2_m=_get_float(parser, "channel.three_log_distance", "d2_m"),
-            n0=_get_float(parser, "channel.three_log_distance", "n0"),
-            n1=_get_float(parser, "channel.three_log_distance", "n1"),
-            n2=_get_float(parser, "channel.three_log_distance", "n2"),
-            ref_loss_db=_get_float(parser, "channel.three_log_distance", "ref_loss_db"),
-        ),
-        "fowlerville": PathLossModel.fowlerville(
-            boundaries_m=_float_list(parser.get("channel.fowlerville", "boundaries_m")),
-            exponents=_float_list(parser.get("channel.fowlerville", "exponents")),
-            ref_loss_db=_get_float(parser, "channel.fowlerville", "ref_loss_db"),
-            shadowing_sigma_db=_get_float(parser, "channel.fowlerville",
-                                          "shadowing_sigma_db"),
-            shadowing_seed=_get_int(parser, "channel.fowlerville", "shadowing_seed"),
-        ),
+        "three_log_distance": PathLossModel(
+            boundaries_m=(three["d0_m"], three["d1_m"], three["d2_m"]),
+            exponents=(three["n0"], three["n1"], three["n2"]),
+            ref_loss_db=three["ref_loss_db"]),
+        "fowlerville": PathLossModel(**values["channel.fowlerville"]),
     }
 
     return RunConfig(
         topology_spec=topology_spec,
         trace_dir=trace_dir,
-        speed_mps=_get_float(parser, "scenario", "speed_mps"),
-        duration_s=_get_float(parser, "run", "duration_s"),
-        seed=_get_int(parser, "run", "seed"),
+        speed_mps=scenario["speed_mps"],
+        duration_s=run["duration_s"],
+        seed=run["seed"],
+        tx_rate_hz=tx_rate_hz,
         mode=mode,
-        out_dir=Path(parser.get("run", "out").strip() or "out"),
-        channel_profile=parser.get("run", "channel_profile").strip(),
+        out_dir=Path(run["out"] or "out"),
+        channel_profile=run["channel_profile"],
         emit_udp=emit_udp,
-        null_sink=null_sink,
-        hv_transmits=_get_bool(parser, "run", "hv_transmits"),
-        radio=radio,
-        mac=mac,
+        null_sink=run["null_sink"],
+        hv_transmits=run["hv_transmits"],
+        radio=RadioConfig(**values["radio"]),
+        mac=MacParams(**mac_fields),
         models=models,
-        cbp_window_s=_get_float(parser, "metrics", "cbp_window_s"),
-        per_bin_m=_get_float(parser, "metrics", "per_bin_m"),
-        per_max_distance_m=_get_float(parser, "metrics", "per_max_distance_m"),
+        cbp_window_s=values["metrics"]["cbp_window_s"],
+        per_bin_m=values["metrics"]["per_bin_m"],
+        per_max_distance_m=values["metrics"]["per_max_distance_m"],
     )

@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import SchedulingError, ValidationError
-from .scenario import MobilityTrace, Scenario, position_at
+from .scenario import MobilityTrace, Scenario, position_at, write_lines
 
 SPEED_OF_LIGHT_MPS = 2.998e8
 
@@ -59,7 +59,6 @@ class MacParams:
     tx_interval_s: float = 520e-6
     pd_mode: PdMode = PdMode.FIXED
     pd_s: float = 3e-6
-    tx_rate_hz: float = 10.0
 
     def __post_init__(self):
         if self.slot_time_s <= 0:
@@ -72,8 +71,6 @@ class MacParams:
             raise ValidationError("tx_interval_s must be positive")
         if self.pd_mode is PdMode.FIXED and not 0 <= self.pd_s < self.tx_interval_s:
             raise ValidationError("need 0 <= pd_s < tx_interval_s")
-        if self.tx_rate_hz <= 0:
-            raise ValidationError("tx_rate_hz must be positive")
 
     @property
     def aifs_s(self) -> float:
@@ -399,8 +396,7 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
 
 
 def run(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
-        params: MacParams, hv_transmits: bool = True,
-        check_invariants: bool = True) -> tuple[list[TxEvent], RunStats]:
+        params: MacParams, hv_transmits: bool = True) -> tuple[list[TxEvent], RunStats]:
     """Execute the scenario offline; returns the time-ordered event log and stats."""
     stats = RunStats(sim_duration_s=scenario.duration_s)
     t0 = _time.perf_counter()
@@ -409,8 +405,7 @@ def run(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     stats.wall_time_s = _time.perf_counter() - t0
     stats.speedup = (scenario.duration_s / stats.wall_time_s
                      if stats.wall_time_s > 0 else math.inf)
-    if check_invariants:
-        verify_run_invariants(events, stats, params, model, radio)
+    verify_run_invariants(events, stats, params, model, radio)
     return events, stats
 
 
@@ -462,7 +457,4 @@ def format_event_row(ev: TxEvent) -> str:
 
 
 def write_event_log(events: list[TxEvent], path) -> None:
-    lines = [EVENT_LOG_HEADER]
-    lines.extend(format_event_row(ev) for ev in events)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, EVENT_LOG_HEADER, map(format_event_row, events))

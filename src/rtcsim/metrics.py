@@ -15,7 +15,7 @@ from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import ValidationError
 from .mac import Outcome, RunStats, TxEvent
-from .scenario import Scenario, generation_schedule, position_at
+from .scenario import Scenario, generation_schedule, position_at, write_lines
 
 DEFAULT_CBP_WINDOW_S = 0.1
 DEFAULT_PER_BIN_M = 25.0
@@ -155,9 +155,9 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
 def rss_curve(radio: RadioConfig, model: PathLossModel, d_min_m: float,
               d_max_m: float, step_m: float) -> list[tuple[float, float]]:
     """Tabulated received signal strength over [d_min, d_max]."""
-    if not 0 <= d_min_m < d_max_m:
-        raise ValidationError("need 0 <= d_min < d_max")
-    if step_m <= 0:
+    if not 0 <= d_min_m < d_max_m < math.inf:
+        raise ValidationError("need 0 <= d_min < d_max < inf")
+    if not step_m > 0:
         raise ValidationError("step_m must be positive")
     n = int(math.floor((d_max_m - d_min_m) / step_m + 1e-9)) + 1
     return [(d_min_m + k * step_m,
@@ -181,22 +181,6 @@ class SummaryRow:
 @dataclass
 class SimReport:
     rows: list[SummaryRow] = field(default_factory=list)
-
-    @classmethod
-    def single(cls, label: str, topology: str, vehicles: int, channel: str,
-               seed: int, duration_s: float, cbp: CbpSeries,
-               per: PerHistogram, stats: RunStats) -> "SimReport":
-        note = "" if stats.events > 0 else "no traffic"
-        row = SummaryRow(label, topology, vehicles, channel, seed, duration_s,
-                         cbp.average if stats.events > 0 else 0.0,
-                         per.average, stats, note)
-        return cls(rows=[row])
-
-    @classmethod
-    def merge(cls, reports: Sequence["SimReport"]) -> "SimReport":
-        rows = [row for rep in reports for row in rep.rows]
-        rows.sort(key=lambda r: (r.channel, r.topology, r.vehicles, r.label))
-        return cls(rows=rows)
 
     def to_text(self) -> str:
         header = (f"{'label':<18} {'topology':<12} {'veh':>5} {'channel':<18} "
@@ -238,40 +222,35 @@ def summarize(events: Sequence[TxEvent], cbp: CbpSeries, per: PerHistogram,
               stats: RunStats, *, label: str = "run", topology: str = "custom",
               vehicles: int = 0, channel: str = "custom", seed: int = 0,
               duration_s: Optional[float] = None) -> SimReport:
-    """One-row report for a finished run; merge reports for batch tables."""
-    return SimReport.single(label, topology, vehicles, channel, seed,
-                            duration_s if duration_s is not None
-                            else stats.sim_duration_s, cbp, per, stats)
+    """One-row report for a finished run; ``rtcsim report`` merges their CSVs."""
+    if duration_s is None:
+        duration_s = stats.sim_duration_s
+    traffic = stats.events > 0
+    return SimReport([SummaryRow(label, topology, vehicles, channel, seed, duration_s,
+                                 cbp.average if traffic else 0.0, per.average,
+                                 stats, "" if traffic else "no traffic")])
 
 
 def write_cbp_csv(cbp: CbpSeries, path) -> None:
-    lines = ["t_start_s,busy_fraction"]
-    lines.extend(f"{t!r},{b!r}" for t, b in cbp.samples)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, "t_start_s,busy_fraction",
+                (f"{t!r},{b!r}" for t, b in cbp.samples))
 
 
 def write_per_csv(per: PerHistogram, path) -> None:
-    lines = ["d_lo_m,d_hi_m,sent,errors,per"]
-    for b in per.bins:
-        value = "" if b.per is None else repr(b.per)
-        lines.append(f"{b.d_lo_m!r},{b.d_hi_m!r},{b.sent},{b.errors},{value}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, "d_lo_m,d_hi_m,sent,errors,per",
+                (f"{b.d_lo_m!r},{b.d_hi_m!r},{b.sent},{b.errors},"
+                 f"{'' if b.per is None else repr(b.per)}" for b in per.bins))
 
 
 def write_rss_csv(points: list[tuple[float, float]], path) -> None:
-    lines = ["d_m,rss_dbm"]
-    lines.extend(f"{d!r},{r!r}" for d, r in points)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, "d_m,rss_dbm", (f"{d!r},{r!r}" for d, r in points))
 
 
 def write_plot_data(path, cbp: Optional[CbpSeries] = None,
                     per: Optional[PerHistogram] = None,
                     rss: Optional[list[tuple[float, float]]] = None) -> None:
     """Long-format series CSV (series,x,y) for external plotting tools."""
-    lines = ["series,x,y"]
+    lines = []
     if cbp is not None:
         lines.extend(f"cbp,{t!r},{b!r}" for t, b in cbp.samples)
     if per is not None:
@@ -279,5 +258,4 @@ def write_plot_data(path, cbp: Optional[CbpSeries] = None,
                      for b in per.bins if b.per is not None)
     if rss is not None:
         lines.extend(f"rss,{d!r},{r!r}" for d, r in rss)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, "series,x,y", lines)

@@ -26,6 +26,11 @@ from .scenario import Scenario
 # with the device under test; the run is aborted rather than silently late.
 DEFAULT_LAG_BUDGET_S = 0.1
 
+# Simulated span of the pre-flight dry run that estimates the speedup.
+PROBE_DURATION_S = 2.0
+# Events the producer may run ahead of delivery before it blocks.
+BUFFER_SIZE = 1024
+
 _SPIN_THRESHOLD_S = 0.002
 _SENTINEL = object()
 
@@ -47,10 +52,9 @@ def _sleep_until(deadline: float) -> None:
 
 def estimate_speedup(scenario: Scenario, model: PathLossModel,
                      radio: RadioConfig, params: MacParams,
-                     hv_transmits: bool = True,
-                     probe_duration_s: float = 2.0) -> float:
+                     hv_transmits: bool = True) -> float:
     """Dry-run a truncated copy of the scenario and report sim/wall speedup."""
-    probe_s = min(probe_duration_s, scenario.duration_s)
+    probe_s = min(PROBE_DURATION_S, scenario.duration_s)
     probe = replace(scenario, duration_s=probe_s)
     stats = RunStats(sim_duration_s=probe_s)
     t0 = time.perf_counter()
@@ -65,7 +69,6 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                  params: MacParams, sink: Callable[[TxEvent], None],
                  hv_transmits: bool = True,
                  lag_budget_s: float = DEFAULT_LAG_BUDGET_S,
-                 buffer_size: int = 1024,
                  skip_budget_check: bool = False) -> tuple[list[TxEvent], RunStats]:
     """Paced run: identical event log to run(), plus delivery-lag statistics.
 
@@ -82,7 +85,7 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 f"refusing to pace this scenario")
 
     stats = RunStats(sim_duration_s=scenario.duration_s)
-    buf: queue.Queue = queue.Queue(maxsize=buffer_size)
+    buf: queue.Queue = queue.Queue(maxsize=BUFFER_SIZE)
     stop = threading.Event()
     producer_error: list[BaseException] = []
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 # Generated traces are sampled at the beacon cadence; position queries
 # between samples interpolate linearly.
 WAYPOINT_PERIOD_S = 0.1
+
+# Safety-beacon rate of every vehicle unless a scenario sets its own.
+DEFAULT_TX_RATE_HZ = 10.0
 
 TRACE_HEADER = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad"
 MANIFEST_NAME = "scenario.json"
@@ -89,7 +92,7 @@ class MobilityTrace:
 
     vehicle_id: int
     waypoints: tuple[Waypoint, ...]
-    tx_rate_hz: float = 10.0
+    tx_rate_hz: float = DEFAULT_TX_RATE_HZ
     gen_phase_s: float = 0.0
 
     def __post_init__(self):
@@ -153,23 +156,15 @@ def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
 
 def sample_at(trace: MobilityTrace, t: float) -> Waypoint:
     """Interpolated kinematic sample; heading is held from the earlier waypoint."""
+    x, y = position_at(trace, t)
     wps = trace.waypoints
-    if t <= wps[0].time_s:
-        w = wps[0]
-        return Waypoint(max(t, 0.0), w.x_m, w.y_m, w.speed_mps, w.heading_rad)
-    if t >= wps[-1].time_s:
-        w = wps[-1]
-        return Waypoint(t, w.x_m, w.y_m, w.speed_mps, w.heading_rad)
     i = bisect_right(trace._times, t)
-    a, b = wps[i - 1], wps[i]
-    f = (t - a.time_s) / (b.time_s - a.time_s)
-    return Waypoint(
-        t,
-        a.x_m + f * (b.x_m - a.x_m),
-        a.y_m + f * (b.y_m - a.y_m),
-        a.speed_mps + f * (b.speed_mps - a.speed_mps),
-        a.heading_rad,
-    )
+    a = wps[max(i - 1, 0)]
+    speed = a.speed_mps
+    if t > wps[0].time_s and i < len(wps):
+        b = wps[i]
+        speed += (t - a.time_s) / (b.time_s - a.time_s) * (b.speed_mps - a.speed_mps)
+    return Waypoint(max(t, 0.0), x, y, speed, a.heading_rad)
 
 
 def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
@@ -247,7 +242,7 @@ def _road_trace(vehicle_id, rng, lo, hi, axis, speed_mps, duration_s, rate, phas
 
 
 def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
-                      seed: int, tx_rate_hz: float = 10.0) -> Scenario:
+                      seed: int, tx_rate_hz: float = DEFAULT_TX_RATE_HZ) -> Scenario:
     """Place RVs uniformly on the geometry and move them at constant speed.
 
     Deterministic for a fixed seed: per-vehicle draws happen in vehicle-id
@@ -258,6 +253,10 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
         raise ValidationError("speed_mps must be >= 0")
     if duration_s <= 0:
         raise ValidationError("duration_s must be positive")
+    if tx_rate_hz <= 0:
+        raise ValidationError("tx_rate_hz must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     period = 1.0 / tx_rate_hz
 
@@ -334,14 +333,13 @@ def _parse_row(parts: list[str], lineno: int, path: str | None):
     return vid, Waypoint(t, x, y, speed, heading)
 
 
-def parse_trace_file(source, tx_rate_hz: float = 10.0,
-                     gen_phase_s: float = 0.0) -> list[MobilityTrace]:
+def parse_trace_file(source) -> list[MobilityTrace]:
     """Read waypoint rows into per-vehicle traces.
 
     ``source`` may be a path or an open text stream. The header line is
     optional; line numbers in errors are 1-based physical lines. Generation
-    parameters are not part of the row format, so the supplied defaults are
-    attached to every trace (the scenario manifest carries the real values).
+    parameters are not part of the row format, so every trace carries the
+    MobilityTrace defaults (the scenario manifest holds the real values).
     """
     path = None
     if hasattr(source, "read"):
@@ -367,7 +365,7 @@ def parse_trace_file(source, tx_rate_hz: float = 10.0,
             if b.time_s == a.time_s:
                 raise ValidationError(
                     f"duplicate waypoint time {a.time_s} for vehicle {vid}")
-        traces.append(MobilityTrace(vid, tuple(wps), tx_rate_hz, gen_phase_s))
+        traces.append(MobilityTrace(vid, tuple(wps)))
     return traces
 
 
@@ -375,13 +373,17 @@ def trace_file_name(vehicle_id: int) -> str:
     return f"vehicle_{vehicle_id}.csv"
 
 
+def write_lines(path, header: str, rows: Iterable[str]) -> None:
+    """Write a header and rows as UTF-8 text, one LF-terminated line each."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+
+
 def write_trace_file(trace: MobilityTrace, path) -> None:
-    rows = [TRACE_HEADER]
-    for w in trace.waypoints:
-        rows.append(f"{w.time_s!r},{trace.vehicle_id},{w.x_m!r},{w.y_m!r},"
-                    f"{w.speed_mps!r},{w.heading_rad!r}")
+    rows = (f"{w.time_s!r},{trace.vehicle_id},{w.x_m!r},{w.y_m!r},"
+            f"{w.speed_mps!r},{w.heading_rad!r}" for w in trace.waypoints)
     try:
-        Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+        write_lines(path, TRACE_HEADER, rows)
     except OSError as exc:
         raise ValidationError(f"cannot write trace file {path}: {exc}") from exc
 
@@ -433,24 +435,26 @@ def load_scenario(source) -> Scenario:
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot load scenario manifest {path}: {exc}") from exc
 
-    hv_id = manifest["hv_id"]
+    try:
+        hv_id = manifest["hv_id"]
+        duration_s = float(manifest["duration_s"])
+        seed = int(manifest["seed"])
+        entries = [(entry["id"], entry["file"],
+                    float(entry.get("tx_rate_hz", manifest["tx_rate_hz"])),
+                    float(entry.get("gen_phase_s", 0.0)))
+                   for entry in manifest["vehicles"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed scenario manifest {path} "
+                              f"({type(exc).__name__}: {exc})") from None
     traces: dict[int, MobilityTrace] = {}
-    for entry in manifest["vehicles"]:
-        file_traces = parse_trace_file(path.parent / entry["file"])
-        match = [t for t in file_traces if t.vehicle_id == entry["id"]]
+    for vid, name, rate, phase in entries:
+        match = [t for t in parse_trace_file(path.parent / name) if t.vehicle_id == vid]
         if len(match) != 1:
             raise ValidationError(
-                f"trace file {entry['file']} does not contain exactly vehicle "
-                f"{entry['id']}")
-        base = match[0]
-        traces[entry["id"]] = MobilityTrace(
-            base.vehicle_id, base.waypoints,
-            entry.get("tx_rate_hz", manifest["tx_rate_hz"]),
-            entry.get("gen_phase_s", 0.0),
-        )
+                f"trace file {name} does not contain exactly vehicle {vid}")
+        traces[vid] = MobilityTrace(match[0].vehicle_id, match[0].waypoints, rate, phase)
     if hv_id not in traces:
         raise ValidationError("manifest hv_id has no trace")
     rvs = tuple(traces[vid] for vid in sorted(traces) if vid != hv_id)
     return Scenario(hv_trace=traces[hv_id], rv_traces=rvs,
-                    duration_s=float(manifest["duration_s"]),
-                    seed=int(manifest["seed"]))
+                    duration_s=duration_s, seed=seed)

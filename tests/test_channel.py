@@ -12,7 +12,7 @@ from rtcsim.errors import ValidationError
 
 
 def three_log(d0=1.0, d1=200.0, d2=500.0, n0=1.9, n1=3.8, n2=3.8, ref=46.67):
-    return PathLossModel.three_log_distance(d0, d1, d2, n0, n1, n2, ref)
+    return PathLossModel((d0, d1, d2), (n0, n1, n2), ref)
 
 
 class TestPathLoss:
@@ -48,9 +48,10 @@ class TestPathLoss:
             bounds = sorted(rng.uniform(0.5, 800.0) for _ in range(3))
             if bounds[0] >= bounds[1] or bounds[1] >= bounds[2]:
                 continue
-            model = PathLossModel.three_log_distance(
-                *bounds, n0=rng.uniform(0, 5), n1=rng.uniform(0, 5),
-                n2=rng.uniform(0, 5), ref_loss_db=rng.uniform(0, 80))
+            model = PathLossModel(
+                tuple(bounds),
+                (rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 5)),
+                ref_loss_db=rng.uniform(0, 80))
             d_a = rng.uniform(0.0, 2000.0)
             d_b = rng.uniform(0.0, 2000.0)
             lo, hi = sorted((d_a, d_b))
@@ -58,11 +59,11 @@ class TestPathLoss:
 
     def test_model_validation(self):
         with pytest.raises(ValidationError):
-            PathLossModel.three_log_distance(1, 1, 500, 1.9, 3.8, 3.8, 46.67)
+            three_log(1, 1, 500, 1.9, 3.8, 3.8, 46.67)
         with pytest.raises(ValidationError):
-            PathLossModel.three_log_distance(1, 200, 500, -1.0, 3.8, 3.8, 46.67)
+            three_log(1, 200, 500, -1.0, 3.8, 3.8, 46.67)
         with pytest.raises(ValidationError):
-            PathLossModel.fowlerville((1, 50), (2.0, 3.0), 47.0, shadowing_sigma_db=-1)
+            PathLossModel((1, 50), (2.0, 3.0), 47.0, shadowing_sigma_db=-1)
 
 
 class TestShadowing:
@@ -71,15 +72,15 @@ class TestShadowing:
         assert path_loss_db(model, 123.4) == path_loss_db(model, 123.4)
 
     def test_same_quantum_shares_draw(self):
-        model = PathLossModel.fowlerville((1.0,), (0.0,), 50.0,
-                                          shadowing_sigma_db=4.0, shadowing_seed=9)
+        model = PathLossModel((1.0,), (0.0,), 50.0,
+                              shadowing_sigma_db=4.0, shadowing_seed=9)
         # zero exponent: any difference inside one 1 m quantum is the fade
         assert path_loss_db(model, 10.2) == path_loss_db(model, 10.9)
         assert path_loss_db(model, 10.2) != path_loss_db(model, 11.1)
 
     def test_different_seed_changes_fade(self):
-        a = PathLossModel.fowlerville((1.0,), (2.0,), 47.0, 3.0, shadowing_seed=1)
-        b = PathLossModel.fowlerville((1.0,), (2.0,), 47.0, 3.0, shadowing_seed=2)
+        a = PathLossModel((1.0,), (2.0,), 47.0, 3.0, shadowing_seed=1)
+        b = PathLossModel((1.0,), (2.0,), 47.0, 3.0, shadowing_seed=2)
         assert path_loss_db(a, 50.0) != path_loss_db(b, 50.0)
 
 
@@ -89,7 +90,7 @@ class TestRss:
         assert rss_dbm(radio, three_log(), 1.0) == pytest.approx(20.0 - 46.67)
 
     def test_zero_loss_model_is_identity(self):
-        model = PathLossModel.three_log_distance(1, 2, 3, 0, 0, 0, 0.0)
+        model = three_log(1, 2, 3, 0, 0, 0, 0.0)
         radio = RadioConfig()
         for d in (0.0, 1.0, 10.0, 5000.0):
             assert rss_dbm(radio, model, d) == 20.0

@@ -5,12 +5,16 @@ import json
 
 import pytest
 
+from rtcsim import metrics
+from rtcsim.channel import (RadioConfig, default_fowlerville,
+                            default_three_log_distance)
 from rtcsim.cli import (EXIT_CONFIG, EXIT_OK, main)
 from rtcsim.config import (build_run_config, dump_config, parse_endpoint,
                            read_config_document)
 from rtcsim.errors import ConfigError
+from rtcsim.mac import MacParams
 from rtcsim.metrics import rss_curve
-from rtcsim.scenario import load_scenario
+from rtcsim.scenario import DEFAULT_TX_RATE_HZ, load_scenario
 
 
 def run_cli(*args):
@@ -25,6 +29,15 @@ class TestConfigDocument:
         assert cfg.mac.aifs_s == pytest.approx(58e-6)
         assert cfg.radio.cs_threshold_dbm == -94.0
         assert set(cfg.models) == {"three_log_distance", "fowlerville"}
+        # the document's defaults come from the objects that own them
+        assert cfg.mac == MacParams()
+        assert cfg.radio == RadioConfig()
+        assert cfg.models["three_log_distance"] == default_three_log_distance()
+        assert cfg.models["fowlerville"] == default_fowlerville()
+        assert cfg.tx_rate_hz == DEFAULT_TX_RATE_HZ
+        assert (cfg.cbp_window_s, cfg.per_bin_m, cfg.per_max_distance_m) == (
+            metrics.DEFAULT_CBP_WINDOW_S, metrics.DEFAULT_PER_BIN_M,
+            metrics.DEFAULT_PER_MAX_DISTANCE_M)
 
     def test_set_overrides(self):
         parser = read_config_document(None, ["run.seed=77", "scenario.vehicles=12"])
@@ -38,6 +51,9 @@ class TestConfigDocument:
         cfg = build_run_config(read_config_document(str(doc)))
         assert cfg.duration_s == 3.5
         assert cfg.topology_spec.kind.value == "linear"
+        doc.write_text("[run]\nduration_s = 3.5\n[sceanrio]\ntopology = linear\n")
+        with pytest.raises(ConfigError):
+            read_config_document(str(doc))
 
     def test_dump_round_trips(self):
         parser = read_config_document(None, ["run.seed=123", "mac.cw_max=31"])
@@ -142,6 +158,17 @@ class TestRun:
         parser.read_string(text)
         assert parser.get("run", "seed") == "31"
 
+    @pytest.mark.parametrize("entry", [
+        "run.duration_s=inf", "run.duration_s=nan", "radio.capture_margin_db=nan",
+        "mac.slot_time_us=nan", "scenario.radius_m=nan", "scenario.hv_x=abc",
+        "run.duraton_s=1", "rnu.seed=1", "run.seed=-1"])
+    def test_malformed_entry_is_one_line_config_error(self, entry, tmp_path, capsys):
+        code = run_cli("run", "--set", entry, "--set", "scenario.vehicles=2",
+                       "--out", str(tmp_path / "x"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_profile_is_config_error(self, tmp_path, capsys):
         code = run_cli("run", "--set", "run.channel_profile=nonexistent",
                        "--out", str(tmp_path / "x"))
@@ -171,7 +198,6 @@ class TestRss:
         out = tmp_path / "rss"
         run_cli("rss", "--d-min", "1", "--d-max", "50", "--step", "0.5",
                 "--out", str(out))
-        from rtcsim.channel import RadioConfig, default_three_log_distance
         direct = rss_curve(RadioConfig(capture_margin_db=5.0),
                            default_three_log_distance(), 1.0, 50.0, 0.5)
         lines = (out / "rss.csv").read_text().splitlines()[1:]
@@ -279,6 +305,8 @@ class TestReport:
 
     def test_missing_directory_is_config_error(self, tmp_path, capsys):
         assert run_cli("report", str(tmp_path / "nope")) == EXIT_CONFIG
+        (tmp_path / "summary.csv").write_text("label,topology\nrun,disk\n")
+        assert run_cli("report", str(tmp_path)) == EXIT_CONFIG
 
     def test_six_scenario_layout_yields_eighteen_rows(self, tmp_path, capsys):
         # both channel profiles x three topologies x three densities, scaled

@@ -8,7 +8,7 @@ from rtcsim.channel import (PathLossModel, RadioConfig,
                             default_three_log_distance)
 from rtcsim.errors import ValidationError
 from rtcsim.mac import MacParams, Outcome, Packet, RunStats, TxEvent, run
-from rtcsim.metrics import (SimReport, compute_cbp, compute_per, rss_curve,
+from rtcsim.metrics import (compute_cbp, compute_per, rss_curve, summarize,
                             write_plot_data)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology, generation_schedule,
@@ -177,7 +177,7 @@ class TestRssCurve:
         assert points[-1][0] == 1000.0
 
     def test_flat_model(self):
-        model = PathLossModel.three_log_distance(1, 2, 3, 0, 0, 0, 30.0)
+        model = PathLossModel((1, 2, 3), (0, 0, 0), 30.0)
         points = rss_curve(RADIO, model, 0.0, 10.0, 1.0)
         assert all(r == 20.0 - 30.0 for _, r in points)
 
@@ -201,32 +201,25 @@ class TestRssCurve:
             rss_curve(RADIO, MODEL, 10.0, 5.0, 1.0)
         with pytest.raises(ValidationError):
             rss_curve(RADIO, MODEL, 0.0, 10.0, -1.0)
+        with pytest.raises(ValidationError):
+            rss_curve(RADIO, MODEL, 0.0, 10.0, math.nan)
+        with pytest.raises(ValidationError):
+            rss_curve(RADIO, MODEL, 0.0, math.inf, 1.0)
 
 
 class TestSimReport:
     def _report(self, events, stats, sc, label="r"):
         cbp = compute_cbp(events, sc, MODEL, RADIO)
         per = compute_per(events, sc, hv_id=0)
-        return SimReport.single(label, "disk", sc.vehicle_count,
-                                "three_log_distance", sc.seed, sc.duration_s,
-                                cbp, per, stats)
+        return summarize(events, cbp, per, stats, label=label, topology="disk",
+                         vehicles=sc.vehicle_count, channel="three_log_distance",
+                         seed=sc.seed, duration_s=sc.duration_s)
 
     def test_empty_log_marked_no_traffic(self):
         sc = static_scenario(0, duration_s=1.0)
         report = self._report([], RunStats(sim_duration_s=1.0, wall_time_s=0.1), sc)
         assert report.rows[0].note == "no traffic"
         assert "no traffic" in report.to_text()
-
-    def test_merge_sorts_by_density(self):
-        reports = []
-        for n in (500, 100, 1000):
-            sc = static_scenario(0, duration_s=1.0)
-            row = self._report([], RunStats(sim_duration_s=1.0, wall_time_s=1.0),
-                               sc, label=f"d{n}")
-            row.rows[0].vehicles = n
-            reports.append(row)
-        merged = SimReport.merge(reports)
-        assert [r.vehicles for r in merged.rows] == [100, 500, 1000]
 
     def test_faster_than_realtime_flagged(self):
         sc = static_scenario(1, duration_s=2.0)

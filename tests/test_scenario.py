@@ -1,6 +1,7 @@
 """Scenario generation, interpolation, schedules, and trace file round-trips."""
 
 import io
+import json
 import math
 
 import pytest
@@ -229,6 +230,16 @@ class TestTraceFilesRoundTrip:
         save_scenario(sc, tmp_path)
         loaded = load_scenario(tmp_path)
         assert loaded == sc
+
+    @pytest.mark.parametrize("key", ["vehicles", "hv_id", "duration_s", "seed"])
+    def test_manifest_missing_key_rejected(self, tmp_path, key):
+        save_scenario(generate_topology(disk_spec(3), 8.0, 1.0, seed=77), tmp_path)
+        path = tmp_path / "scenario.json"
+        manifest = json.loads(path.read_text())
+        del manifest[key]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValidationError, match=key):
+            load_scenario(tmp_path)
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path):
         a_dir = tmp_path / "a"
