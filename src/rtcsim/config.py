@@ -178,9 +178,12 @@ def parse_endpoint(raw: str) -> tuple[str, int]:
     if not sep or not host:
         raise ConfigError(f"endpoint must be host:port, got '{raw}'")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ConfigError(f"endpoint port must be an integer, got '{port}'") from None
+    if not 1 <= number <= 65535:
+        raise ConfigError(f"endpoint port must be in 1-65535, got {number}")
+    return host, number
 
 
 def build_run_config(parser: configparser.ConfigParser) -> RunConfig:

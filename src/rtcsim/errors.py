@@ -37,7 +37,8 @@ class SchedulingError(RtcsimError):
 class RealtimeViolationError(RtcsimError):
     """Real-time pacing fell behind by more than the allowed budget.
 
-    ``events`` holds the partial event log produced before the abort.
+    ``events`` holds the event log scheduled before the abort. It may run past
+    the last delivered event, since the scheduler works ahead of the wall clock.
     """
 
     def __init__(self, message: str, events=None, lag_s: float | None = None):

@@ -1,38 +1,36 @@
 """Wall-clock paced execution with a hardware-in-the-loop delivery sink.
 
-Two cooperating contexts: a producer thread runs the scheduler ahead of the
-wall clock, feeding a bounded time-ordered buffer (a full buffer blocks the
-producer, never drops events); the caller's thread drains it and delivers
-each decoded event to the sink no earlier than its simulated end time mapped
-onto the wall clock. Delivery order equals log order.
+One thread runs the scheduler and delivers. Each decoded event waits in a
+FIFO until its simulated end time, mapped onto the wall clock, has passed;
+after every scheduled event the due ones go to the sink, and once the
+scheduler is done the rest are delivered at their deadlines. A delivery is
+never early, and it is late by at most the time the scheduler takes for one
+event, besides what the host adds. Delivery order equals log order.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-import queue
-import threading
 import time
+from collections import deque
 from dataclasses import replace
 from typing import Callable
 
+from . import mac
 from .channel import PathLossModel, RadioConfig
 from .errors import RealtimeViolationError
 from .mac import MacParams, Outcome, RunStats, TxEvent, _iter_events
-from .scenario import Scenario
+from .scenario import DEFAULT_TX_RATE_HZ, Scenario
 
 # Lag beyond one beacon period means the emulated channel no longer lines up
 # with the device under test; the run is aborted rather than silently late.
-DEFAULT_LAG_BUDGET_S = 0.1
+DEFAULT_LAG_BUDGET_S = 1.0 / DEFAULT_TX_RATE_HZ
 
 # Simulated span of the pre-flight dry run that estimates the speedup.
 PROBE_DURATION_S = 2.0
-# Events the producer may run ahead of delivery before it blocks.
-BUFFER_SIZE = 1024
 
 _SPIN_THRESHOLD_S = 0.002
-_SENTINEL = object()
 
 
 def _sleep_until(deadline: float) -> None:
@@ -74,7 +72,7 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
 
     Raises RealtimeViolationError (carrying the partial log) when the
     scheduler cannot keep ahead of the wall clock or a delivery lags past
-    ``lag_budget_s``.
+    ``lag_budget_s``, and SchedulingError as run() does on an invariant breach.
     """
     if not skip_budget_check:
         speedup = estimate_speedup(scenario, model, radio, params,
@@ -85,66 +83,41 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 f"refusing to pace this scenario")
 
     stats = RunStats(sim_duration_s=scenario.duration_s)
-    buf: queue.Queue = queue.Queue(maxsize=BUFFER_SIZE)
-    stop = threading.Event()
-    producer_error: list[BaseException] = []
+    events: list[TxEvent] = []
+    lags: list[float] = []
+    pending: deque[TxEvent] = deque()
 
-    def producer() -> None:
-        try:
-            for event in _iter_events(scenario, model, radio, params, stats,
-                                      hv_transmits=hv_transmits):
-                if stop.is_set():
-                    return
-                buf.put(event)
-        except BaseException as exc:  # surfaced on the consumer side
-            producer_error.append(exc)
-        finally:
-            buf.put(_SENTINEL)
+    def deliver(event: TxEvent) -> None:
+        deadline = t_wall0 + event.end_s
+        _sleep_until(deadline)
+        sink(event)
+        lag = time.perf_counter() - deadline
+        lags.append(lag)
+        if lag > lag_budget_s:
+            raise RealtimeViolationError(
+                f"delivery lagged {lag*1e3:.1f}ms behind the wall clock "
+                f"(budget {lag_budget_s*1e3:.0f}ms)",
+                events=events, lag_s=lag)
 
-    worker = threading.Thread(target=producer, name="rtcsim-producer", daemon=True)
     # collector pauses over a large heap can exceed the lag budget; hold it
     # off for the paced window and collect once afterwards
     gc_was_enabled = gc.isenabled()
     gc.disable()
     t_wall0 = time.perf_counter()
-    worker.start()
-
-    events: list[TxEvent] = []
-    lags: list[float] = []
     try:
-        while True:
-            item = buf.get()
-            if item is _SENTINEL:
-                break
-            event = item
+        for event in _iter_events(scenario, model, radio, params, stats,
+                                  hv_transmits=hv_transmits):
             events.append(event)
-            if event.outcome is not Outcome.DECODED:
-                continue
-            deadline = t_wall0 + event.end_s
-            _sleep_until(deadline)
-            sink(event)
-            lag = time.perf_counter() - deadline
-            lags.append(lag)
-            if lag > lag_budget_s:
-                raise RealtimeViolationError(
-                    f"delivery lagged {lag*1e3:.1f}ms behind the wall clock "
-                    f"(budget {lag_budget_s*1e3:.0f}ms)",
-                    events=events, lag_s=lag)
+            if event.outcome is Outcome.DECODED:
+                pending.append(event)
+            while pending and t_wall0 + pending[0].end_s <= time.perf_counter():
+                deliver(pending.popleft())
+        while pending:
+            deliver(pending.popleft())
     finally:
-        stop.set()
-        # unblock the producer if it is waiting on a full buffer
-        while True:
-            try:
-                buf.get_nowait()
-            except queue.Empty:
-                break
-        worker.join(timeout=10.0)
         if gc_was_enabled:
             gc.enable()
             gc.collect()
-
-    if producer_error:
-        raise producer_error[0]
 
     stats.wall_time_s = time.perf_counter() - t_wall0
     stats.speedup = (scenario.duration_s / stats.wall_time_s
@@ -155,4 +128,5 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         stats.p99_delivery_lag_s = ordered[max(idx, 0)]
     else:
         stats.p99_delivery_lag_s = 0.0
+    mac.verify_run_invariants(events, stats, params, model, radio)
     return events, stats

@@ -183,6 +183,7 @@ def test_criterion_5_per_trends(density_runs):
            f"{inversions} inversion(s) across 50 m bins")
 
 
+@pytest.mark.realtime
 def test_criterion_6_realtime_performance(density_runs):
     """1000-vehicle batch beats the clock; paced 100-vehicle run stays tight."""
     batch_wall = density_runs[1000]["stats"].wall_time_s
@@ -206,6 +207,7 @@ DETERMINISM_ARTIFACTS = ("event_log.csv", "cbp.csv", "per.csv", "rss.csv",
                          "plotdata.csv", "summary.csv")
 
 
+@pytest.mark.realtime
 def test_criterion_7_determinism(tmp_path):
     """Same config and seed give byte-identical logs and reports in both modes."""
     def execute(mode, out):

@@ -78,6 +78,11 @@ class TestConfigDocument:
             parse_endpoint("no-port")
         with pytest.raises(ConfigError):
             parse_endpoint("host:abc")
+        assert parse_endpoint("h:1") == ("h", 1)
+        assert parse_endpoint("h:65535") == ("h", 65535)
+        for bad in ("h:0", "h:-1", "h:65536"):
+            with pytest.raises(ConfigError):
+                parse_endpoint(bad)
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -161,7 +166,8 @@ class TestRun:
     @pytest.mark.parametrize("entry", [
         "run.duration_s=inf", "run.duration_s=nan", "radio.capture_margin_db=nan",
         "mac.slot_time_us=nan", "scenario.radius_m=nan", "scenario.hv_x=abc",
-        "run.duraton_s=1", "rnu.seed=1", "run.seed=-1"])
+        "run.duraton_s=1", "rnu.seed=1", "run.seed=-1",
+        "run.emit_udp=127.0.0.1:99999"])
     def test_malformed_entry_is_one_line_config_error(self, entry, tmp_path, capsys):
         code = run_cli("run", "--set", entry, "--set", "scenario.vehicles=2",
                        "--out", str(tmp_path / "x"))
@@ -174,6 +180,7 @@ class TestRun:
                        "--out", str(tmp_path / "x"))
         assert code == EXIT_CONFIG
 
+    @pytest.mark.realtime
     def test_realtime_null_sink_smoke(self, tmp_path):
         out = tmp_path / "rt"
         code = run_cli("run", "--mode", "realtime", "--null-sink",
@@ -214,6 +221,7 @@ class TestRss:
             assert abs(a - b) < 0.5  # no jumps across 200 m / 500 m
 
 
+@pytest.mark.realtime
 class TestUdpEmission:
     def test_realtime_emit_udp_delivers_decoded_events(self, tmp_path):
         import socket

@@ -1,13 +1,16 @@
 """Wall-clock pacing, delivery sinks, and the datagram format."""
 
+import gc
 import socket
 import threading
 import time
 
 import pytest
 
+from conftest import event_signature
 from rtcsim.channel import RadioConfig, default_three_log_distance
-from rtcsim.errors import RealtimeViolationError, ValidationError
+from rtcsim.errors import (RealtimeViolationError, SchedulingError,
+                           ValidationError)
 from rtcsim.mac import MacParams, Outcome, run
 from rtcsim.realtime import estimate_speedup, run_realtime
 from rtcsim.scenario import Topology, TopologySpec, generate_topology
@@ -46,6 +49,7 @@ class TestWireFormat:
             unpack_bsm(b"\x01\x02")
 
 
+@pytest.mark.realtime
 class TestRealtime:
     def test_empty_scenario_returns_immediately(self):
         sc = small_scenario(n=1, duration=0.5)
@@ -92,7 +96,38 @@ class TestRealtime:
             run_realtime(sc, MODEL, RADIO, PARAMS, stalling_sink,
                          lag_budget_s=0.1)
         assert err.value.lag_s > 0.1
-        assert len(err.value.events) > 0
+        partial = [event_signature(e) for e in err.value.events]
+        batch, _ = run(sc, MODEL, RADIO, PARAMS)
+        assert 0 < len(partial) <= len(batch)
+        assert partial == [event_signature(e) for e in batch[:len(partial)]]
+        assert gc.isenabled()
+
+    def test_scheduler_error_propagates(self, monkeypatch):
+        sc = small_scenario(n=4, duration=1.0)
+        batch, _ = run(sc, MODEL, RADIO, PARAMS)
+
+        def failing_events(*args, **kwargs):
+            yield from batch[:2]
+            raise SchedulingError("heap corrupted")
+
+        import rtcsim.realtime as rt
+        monkeypatch.setattr(rt, "_iter_events", failing_events)
+        with pytest.raises(SchedulingError, match="heap corrupted"):
+            run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(),
+                         skip_budget_check=True)
+        assert gc.isenabled()
+
+    def test_run_invariants_checked(self, monkeypatch):
+        import rtcsim.mac as mac
+
+        def breach(*args, **kwargs):
+            raise SchedulingError("conservation broken")
+
+        monkeypatch.setattr(mac, "verify_run_invariants", breach)
+        sc = small_scenario(n=1, duration=0.5)
+        with pytest.raises(SchedulingError, match="conservation broken"):
+            run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(),
+                         hv_transmits=False, skip_budget_check=True)
 
     def test_budget_check_refuses_slow_scenarios(self):
         sc = small_scenario(n=4, duration=1.0)
@@ -110,6 +145,7 @@ class TestRealtime:
         assert estimate_speedup(sc, MODEL, RADIO, PARAMS) > 2.0
 
 
+@pytest.mark.realtime
 class TestUdpSink:
     def test_one_datagram_per_decoded_event(self):
         sc = small_scenario(n=3, duration=1.0, seed=8)
