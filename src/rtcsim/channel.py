@@ -12,14 +12,24 @@ On top of the loss curve sit the three questions the scheduler asks:
 * can one transmitter sense another (hidden-node predicate),
 * what signal strength does the host vehicle see,
 * which of several overlapping packets, if any, captures the receiver.
+
+Without shadowing the signal strength only falls with distance, so the
+hidden-node predicate is a threshold on distance: ``is_hidden`` holds exactly
+when the distance is at least ``hidden_range_m``, a float found once per run
+by bisection over the curve. The scheduler, the busy-percent metric and the
+run invariants compare distances against it; ``is_hidden`` keeps evaluating
+the curve, for shadowed models and for the reference replay.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +72,19 @@ class PathLossModel:
             raise ValidationError("reference loss must be non-negative")
         if self.shadowing_sigma_db < 0:
             raise ValidationError("shadowing sigma must be non-negative")
+
+    @cached_property
+    def boundary_losses_db(self) -> tuple[float, ...]:
+        """Shadow-free loss at each region boundary.
+
+        Summed left to right, the order in which a walk over the regions
+        would accumulate them, so adding the partial region on top gives
+        the same float as that walk.
+        """
+        losses = [self.ref_loss_db]
+        for lo, hi, n in zip(self.boundaries_m, self.boundaries_m[1:], self.exponents):
+            losses.append(losses[-1] + 10.0 * n * math.log10(hi / lo))
+        return tuple(losses)
 
 
 def default_three_log_distance() -> PathLossModel:
@@ -117,22 +140,19 @@ def _shadow_draw(seed: int, quantum: int) -> float:
 def path_loss_db(model: PathLossModel, d_m: float) -> float:
     """Attenuation in dB at distance ``d_m``.
 
-    Accumulates ``10 * n_k * log10(...)`` across the regions below ``d_m``
-    and, when the model carries shadowing, adds ``sigma * Z(d)`` where Z is
-    the frozen per-quantum normal draw.
+    The loss at the boundary of the region holding ``d_m`` plus
+    ``10 * n_k * log10(d / d_k)`` within it and, when the model carries
+    shadowing, ``sigma * Z(d)`` where Z is the frozen per-quantum normal draw.
     """
     if d_m < 0:
         raise ValidationError(f"distance must be non-negative, got {d_m}")
     bounds = model.boundaries_m
-    loss = model.ref_loss_db
     if d_m >= bounds[0]:
-        last = len(bounds) - 1
-        for i, lo in enumerate(bounds):
-            if i < last and d_m >= bounds[i + 1]:
-                loss += 10.0 * model.exponents[i] * math.log10(bounds[i + 1] / lo)
-            else:
-                loss += 10.0 * model.exponents[i] * math.log10(d_m / lo)
-                break
+        k = bisect_right(bounds, d_m) - 1
+        loss = (model.boundary_losses_db[k]
+                + 10.0 * model.exponents[k] * math.log10(d_m / bounds[k]))
+    else:
+        loss = model.ref_loss_db
     if model.shadowing_sigma_db > 0.0:
         quantum = int(d_m // SHADOWING_QUANTUM_M)
         loss += model.shadowing_sigma_db * _shadow_draw(model.shadowing_seed, quantum)
@@ -155,6 +175,41 @@ def is_hidden(radio: RadioConfig, model: PathLossModel,
     Symmetric by construction: the model depends only on the distance.
     """
     return rss_dbm(radio, model, distance_m(pos_a, pos_b)) < radio.cs_threshold_dbm
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def hidden_range_m(radio: RadioConfig, model: PathLossModel) -> Optional[float]:
+    """Smallest float distance at which a shadow-free model hides a transmitter.
+
+    ``is_hidden`` is then exactly ``distance_m >= hidden_range_m``. The
+    bit patterns of non-negative doubles order like their values, so a
+    bisection over them ends in at most 64 evaluations of the curve. Returns
+    0.0 when even 0 m is hidden, ``math.inf`` when the loss never drops the
+    signal below the carrier-sense threshold (a flat last region), and None
+    for a shadowed model, whose predicate is not monotone in distance.
+    """
+    if model.shadowing_sigma_db > 0.0:
+        return None
+
+    def hidden(bits: int) -> bool:
+        return rss_dbm(radio, model, _double(bits)) < radio.cs_threshold_dbm
+
+    lo = 0
+    hi = struct.unpack("<Q", struct.pack("<d", sys.float_info.max))[0]
+    if hidden(lo):
+        return 0.0
+    if not hidden(hi):
+        return math.inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if hidden(mid):
+            hi = mid
+        else:
+            lo = mid
+    return _double(hi)
 
 
 def resolve_capture(radio: RadioConfig, arrivals: Sequence[tuple[object, float]]):

@@ -19,6 +19,12 @@ handled by exactly one of five overlap rules:
 Reception is evaluated at the host vehicle only: the strongest overlapping
 packet is decoded when it clears the sensitivity floor and the capture
 margin over the runner-up.
+
+Everything the loop needs that does not change during a run is worked out
+once before it starts: the timing sums, the fixed propagation delay, the
+hidden range of a shadow-free channel (``channel.hidden_range_m``), and the
+position of every vehicle at each of its beacon instants
+(``Scenario.beacon_positions``, shared with the packet-error metric).
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ import math
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterator, Optional
 
 from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import SchedulingError, ValidationError
-from .scenario import MobilityTrace, Scenario, position_at, write_lines
+from .scenario import Scenario, position_at, write_lines
 
 SPEED_OF_LIGHT_MPS = 2.998e8
 
@@ -72,7 +79,7 @@ class MacParams:
         if self.pd_mode is PdMode.FIXED and not 0 <= self.pd_s < self.tx_interval_s:
             raise ValidationError("need 0 <= pd_s < tx_interval_s")
 
-    @property
+    @cached_property
     def aifs_s(self) -> float:
         return self.sifs_s + 2.0 * self.slot_time_s
 
@@ -115,6 +122,16 @@ class OverlapState(Enum):
     BACKOFF = "backoff"
     AIFS_WAIT = "aifs_wait"
     POST_TX = "post_tx"
+
+
+# Reading a member through its Enum class runs a descriptor (about 0.2 us
+# on CPython 3.11, several times per queue head); the band rule and the
+# scheduler loop read these module names instead.
+_COLLISION_PD = OverlapState.COLLISION_PD
+_COLLISION_HIDDEN = OverlapState.COLLISION_HIDDEN
+_BACKOFF = OverlapState.BACKOFF
+_AIFS_WAIT = OverlapState.AIFS_WAIT
+_POST_TX = OverlapState.POST_TX
 
 
 class Outcome(Enum):
@@ -191,40 +208,46 @@ class KeyedBackoffRng:
         self.seed = seed & _M64
         self.cw_min = cw_min
         self.cw_max = cw_max
+        self._seed_hash = _splitmix64(self.seed)
+        self._span = cw_max - cw_min + 1
 
     def draw(self, packet: Packet) -> int:
-        h = _splitmix64(self.seed)
-        h = _splitmix64(h ^ (packet.vehicle_id & _M64))
+        h = _splitmix64(self._seed_hash ^ (packet.vehicle_id & _M64))
         h = _splitmix64(h ^ (packet.seq & _M64))
-        span = self.cw_max - self.cw_min + 1
-        return self.cw_min + (h % span)
+        return self.cw_min + (h % self._span)
+
+
+def overlap_band(diff: float, hidden: bool, pd: float, tx: float,
+                 tx_aifs: float) -> OverlapState:
+    """The overlap rule on plain numbers: ``diff`` after a transmission start.
+
+    ``tx`` is the transmission interval and ``tx_aifs`` the interval plus
+    the arbitration gap. The bands are, in order of precedence: hidden and
+    diff <= tx -> COLLISION_HIDDEN; diff <= pd -> COLLISION_PD;
+    diff <= tx -> BACKOFF; diff <= tx_aifs -> AIFS_WAIT; beyond -> POST_TX.
+    All upper bounds are inclusive.
+    """
+    if diff < 0:
+        raise SchedulingError(
+            f"queue ordering breach: a packet is scheduled {-diff:.3e}s "
+            f"before the transmission it overlaps")
+    if hidden and diff <= tx:
+        return _COLLISION_HIDDEN
+    if diff <= pd:
+        return _COLLISION_PD
+    if diff <= tx:
+        return _BACKOFF
+    if diff <= tx_aifs:
+        return _AIFS_WAIT
+    return _POST_TX
 
 
 def classify(current: Packet, next_pkt: Packet, params: MacParams,
              hidden: bool) -> OverlapState:
-    """Overlap rule for ``next_pkt`` relative to the transmitting ``current``.
-
-    With diff = next.sched - current.sched the bands are, in order of
-    precedence: hidden and diff <= tx_interval -> COLLISION_HIDDEN;
-    diff <= pd -> COLLISION_PD; diff <= tx_interval -> BACKOFF;
-    diff <= tx_interval + aifs -> AIFS_WAIT; beyond -> POST_TX. All upper
-    bounds are inclusive.
-    """
-    diff = next_pkt.sched_time_s - current.sched_time_s
-    if diff < 0:
-        raise SchedulingError(
-            f"queue ordering breach: packet {next_pkt.key} scheduled "
-            f"{-diff:.3e}s before current {current.key}")
-    tx = params.tx_interval_s
-    if hidden and diff <= tx:
-        return OverlapState.COLLISION_HIDDEN
-    if diff <= params.pd_for(current, next_pkt):
-        return OverlapState.COLLISION_PD
-    if diff <= tx:
-        return OverlapState.BACKOFF
-    if diff <= tx + params.aifs_s:
-        return OverlapState.AIFS_WAIT
-    return OverlapState.POST_TX
+    """Overlap rule for ``next_pkt`` relative to the transmitting ``current``."""
+    return overlap_band(next_pkt.sched_time_s - current.sched_time_s, hidden,
+                        params.pd_for(current, next_pkt), params.tx_interval_s,
+                        params.tx_interval_s + params.aifs_s)
 
 
 def apply_backoff(next_pkt: Packet, rng: KeyedBackoffRng, params: MacParams,
@@ -250,29 +273,19 @@ def reschedule_after_aifs(next_pkt: Packet, current_end_s: float,
     return next_pkt
 
 
-def make_packet(trace: MobilityTrace, seq: int, gen_time_s: float,
-                sched_time_s: float, params: MacParams) -> Packet:
-    return Packet(
-        vehicle_id=trace.vehicle_id,
-        seq=seq,
-        gen_time_s=gen_time_s,
-        sched_time_s=sched_time_s,
-        duration_s=params.tx_interval_s,
-        tx_position=position_at(trace, gen_time_s),
-    )
-
-
 def init_queue(scenario: Scenario, params: MacParams,
                hv_transmits: bool = True) -> list:
     """Heap of (sched, vehicle_id, seq, Packet) holding each vehicle's first packet."""
-    traces = list(scenario.all_traces()) if hv_transmits else list(scenario.rv_traces)
+    traces = scenario.all_traces() if hv_transmits else scenario.rv_traces
+    positions = scenario.beacon_positions
     heap = []
     for trace in traces:
         gen = trace.gen_phase_s
         if gen >= scenario.duration_s:
             continue
-        pkt = make_packet(trace, 0, gen, gen, params)
-        heap.append((pkt.sched_time_s, pkt.vehicle_id, pkt.seq, pkt))
+        vid = trace.vehicle_id
+        pkt = Packet(vid, 0, gen, gen, params.tx_interval_s, positions[vid][0])
+        heap.append((gen, vid, 0, pkt))
     heapq.heapify(heap)
     return heap
 
@@ -286,8 +299,8 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
     capture margin over the noise floor; one that fails either bar is
     reported as below sensitivity.
     """
-    arrivals = [(current, chan.rss_dbm(radio, model,
-                                       chan.distance_m(current.tx_position, hv_position)))]
+    hv_distance = chan.distance_m(current.tx_position, hv_position)
+    arrivals = [(current, chan.rss_dbm(radio, model, hv_distance))]
     for pkt in overlap:
         arrivals.append((pkt, chan.rss_dbm(radio, model,
                                            chan.distance_m(pkt.tx_position, hv_position))))
@@ -305,7 +318,7 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
         colliders=tuple(overlap),
         outcome=outcome,
         winner=winner,
-        hv_distance_m=chan.distance_m(current.tx_position, hv_position),
+        hv_distance_m=hv_distance,
     )
 
 
@@ -319,15 +332,21 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     duration = scenario.duration_s
     hv_trace = scenario.hv_trace
     traces = scenario.traces_by_id
+    positions = scenario.beacon_positions
     tx = params.tx_interval_s
     aifs = params.aifs_s
+    tx_aifs = tx + aifs
+    fixed_pd = params.pd_s if params.pd_mode is PdMode.FIXED else None
+    # None for a shadowed channel, which asks the curve for every pair
+    hidden_range = chan.hidden_range_m(radio, model)
     last_start = -math.inf
 
     def insert_successor(parent: Packet) -> None:
         trace = traces[parent.vehicle_id]
+        seq = parent.seq + 1
         # closed form, not accumulation: keeps gen times bit-identical to
-        # the vehicle's generation schedule
-        gen = trace.gen_phase_s + (parent.seq + 1) * (1.0 / trace.tx_rate_hz)
+        # the vehicle's generation schedule, which indexes its positions
+        gen = trace.gen_phase_s + seq * (1.0 / trace.tx_rate_hz)
         if gen >= duration:
             return
         # a vehicle contends for one packet at a time: the follow-up may not
@@ -337,41 +356,49 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         if sched >= duration:
             stats.packets_expired += 1
             return
-        pkt = make_packet(trace, parent.seq + 1, gen, sched, params)
+        vid = trace.vehicle_id
         stats.packets_generated += 1
-        heapq.heappush(heap, (pkt.sched_time_s, pkt.vehicle_id, pkt.seq, pkt))
+        heapq.heappush(heap, (sched, vid, seq,
+                              Packet(vid, seq, gen, sched, tx, positions[vid][seq])))
 
     while heap:
         _, _, _, current = heapq.heappop(heap)
-        if current.sched_time_s < last_start:
+        start = current.sched_time_s
+        if start < last_start:
             raise SchedulingError("popped packet travels back in time")
-        last_start = current.sched_time_s
-        if current.sched_time_s >= duration:
+        last_start = start
+        if start >= duration:
             stats.packets_queued_at_end = 1 + len(heap)
             break
 
-        start = current.sched_time_s
         end = start + tx
         boundary = end + aifs
+        cx, cy = current.tx_position
         overlap: list[Packet] = []
 
         while heap:
             head = heap[0][3]
             diff = head.sched_time_s - start
-            hidden = (diff <= tx
-                      and chan.is_hidden(radio, model, current.tx_position,
-                                         head.tx_position))
-            state = classify(current, head, params, hidden)
-            if state is OverlapState.POST_TX:
+            if diff > tx:
+                hidden = False
+            elif hidden_range is None:
+                hidden = chan.is_hidden(radio, model, current.tx_position,
+                                        head.tx_position)
+            else:
+                hx, hy = head.tx_position
+                hidden = math.hypot(cx - hx, cy - hy) >= hidden_range
+            pd = fixed_pd if fixed_pd is not None else params.pd_for(current, head)
+            state = overlap_band(diff, hidden, pd, tx, tx_aifs)
+            if state is _POST_TX:
                 break
-            if state is OverlapState.AIFS_WAIT and head.sched_time_s >= boundary:
+            if state is _AIFS_WAIT and head.sched_time_s >= boundary:
                 # already parked on the first idle instant: no longer interferes
                 break
             heapq.heappop(heap)
-            if state in (OverlapState.COLLISION_PD, OverlapState.COLLISION_HIDDEN):
+            if state in (_COLLISION_PD, _COLLISION_HIDDEN):
                 overlap.append(head)
                 continue
-            if state is OverlapState.BACKOFF:
+            if state is _BACKOFF:
                 apply_backoff(head, rng, params, end)
             else:
                 reschedule_after_aifs(head, end, params)
@@ -426,14 +453,17 @@ def verify_run_invariants(events: list[TxEvent], stats: RunStats,
             f"below={stats.packets_below_sensitivity} "
             f"expired={stats.packets_expired} queued={stats.packets_queued_at_end}")
     aifs = params.aifs_s
+    hidden_range = chan.hidden_range_m(radio, model)
     for prev, cur in zip(events, events[1:]):
         if cur.start_s < prev.start_s:
             raise SchedulingError("event log is not time-ordered")
         gap = cur.start_s - prev.end_s
         if gap >= aifs - 1e-12:
             continue
-        if not chan.is_hidden(radio, model, prev.transmitter.tx_position,
-                              cur.transmitter.tx_position):
+        a, b = prev.transmitter.tx_position, cur.transmitter.tx_position
+        hidden = (chan.is_hidden(radio, model, a, b) if hidden_range is None
+                  else chan.distance_m(a, b) >= hidden_range)
+        if not hidden:
             raise SchedulingError(
                 f"idle-gap breach: events at {prev.start_s:.6f}s and "
                 f"{cur.start_s:.6f}s are {gap*1e6:.2f}us apart")

@@ -84,9 +84,12 @@ def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
     if window_s <= 0:
         raise ValidationError("window_s must be positive")
     duration = scenario.duration_s
+    hidden_range = chan.hidden_range_m(radio, model)
     busy = []
     for ev in events:
-        if chan.rss_dbm(radio, model, ev.hv_distance_m) < radio.cs_threshold_dbm:
+        d = ev.hv_distance_m
+        if (chan.rss_dbm(radio, model, d) < radio.cs_threshold_dbm
+                if hidden_range is None else d >= hidden_range):
             continue
         lo = ev.start_s
         hi = min(ev.end_s, duration)
@@ -137,8 +140,10 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
     for trace in scenario.all_traces():
         if trace.vehicle_id == hv_id:
             continue
-        for seq, gen in enumerate(generation_schedule(trace, scenario.duration_s)):
-            d = chan.distance_m(position_at(trace, gen), position_at(hv_trace, gen))
+        gens = generation_schedule(trace, scenario.duration_s)
+        positions = scenario.beacon_positions[trace.vehicle_id]
+        for seq, (gen, pos) in enumerate(zip(gens, positions)):
+            d = chan.distance_m(pos, position_at(hv_trace, gen))
             if d >= max_distance_m:
                 continue
             idx = min(int(d / bin_width_m), n_bins - 1)

@@ -6,6 +6,10 @@ after every scheduled event the due ones go to the sink, and once the
 scheduler is done the rest are delivered at their deadlines. A delivery is
 never early, and it is late by at most the time the scheduler takes for one
 event, besides what the host adds. Delivery order equals log order.
+
+Per-run tables the scheduler reads (``Scenario.beacon_positions``) are built
+before the wall clock starts: built inside the window, they would hold back
+the first deliveries by the time they take.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 f"scheduler dry run projects only {speedup:.2f}x real time; "
                 f"refusing to pace this scenario")
 
+    scenario.beacon_positions  # before the window: see the module docstring
     stats = RunStats(sim_duration_s=scenario.duration_s)
     events: list[TxEvent] = []
     lags: list[float] = []

@@ -140,6 +140,18 @@ class Scenario:
     def traces_by_id(self) -> dict[int, MobilityTrace]:
         return {t.vehicle_id: t for t in self.all_traces()}
 
+    @cached_property
+    def beacon_positions(self) -> dict[int, list[tuple[float, float]]]:
+        """Each vehicle's position at each of its beacon generation instants.
+
+        Entry ``k`` of a vehicle's list is ``position_at`` at the ``k``-th
+        time of its ``generation_schedule``. Built on first use, which the
+        runners make part of the run rather than of scenario set-up.
+        """
+        return {t.vehicle_id: [position_at(t, gen)
+                               for gen in generation_schedule(t, self.duration_s)]
+                for t in self.all_traces()}
+
 
 def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     """Linearly interpolated position, clamped outside the covered interval."""

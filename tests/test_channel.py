@@ -2,17 +2,69 @@
 
 import math
 import random
+import struct
+import sys
 
 import pytest
 
-from rtcsim.channel import (PathLossModel, RadioConfig, default_fowlerville,
-                            default_three_log_distance, is_hidden,
-                            path_loss_db, resolve_capture, rss_dbm)
+from rtcsim.channel import (SHADOWING_QUANTUM_M, PathLossModel, RadioConfig,
+                            _shadow_draw, default_fowlerville,
+                            default_three_log_distance, hidden_range_m,
+                            is_hidden, path_loss_db, resolve_capture, rss_dbm)
 from rtcsim.errors import ValidationError
 
 
 def three_log(d0=1.0, d1=200.0, d2=500.0, n0=1.9, n1=3.8, n2=3.8, ref=46.67):
     return PathLossModel((d0, d1, d2), (n0, n1, n2), ref)
+
+
+def to_bits(d: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", d))[0]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def ulp_neighbours(d: float, n: int) -> list[float]:
+    """``d`` and its ``n`` float neighbours on each side, none negative."""
+    bits = to_bits(d)
+    return [from_bits(b) for b in range(max(bits - n, 0), bits + n + 1)]
+
+
+def sequential_path_loss(model: PathLossModel, d_m: float) -> float:
+    """Region-by-region accumulation of the loss curve, the reference form."""
+    bounds = model.boundaries_m
+    loss = model.ref_loss_db
+    if d_m >= bounds[0]:
+        last = len(bounds) - 1
+        for i, lo in enumerate(bounds):
+            if i < last and d_m >= bounds[i + 1]:
+                loss += 10.0 * model.exponents[i] * math.log10(bounds[i + 1] / lo)
+            else:
+                loss += 10.0 * model.exponents[i] * math.log10(d_m / lo)
+                break
+    if model.shadowing_sigma_db > 0.0:
+        quantum = int(d_m // SHADOWING_QUANTUM_M)
+        loss += model.shadowing_sigma_db * _shadow_draw(model.shadowing_seed, quantum)
+    return loss
+
+
+def random_shadow_free(seed: int) -> tuple[RadioConfig, PathLossModel]:
+    """Random regions, some flat, with the carrier-sense threshold crossed
+    at a random distance, which may lie in any region."""
+    rng = random.Random(seed)
+    bounds = [rng.uniform(0.5, 5.0)]
+    for _ in range(rng.randint(0, 4)):
+        bounds.append(bounds[-1] * rng.uniform(1.5, 6.0))
+    exponents = [rng.choice((0.0, rng.uniform(1.0, 5.0))) for _ in bounds[:-1]]
+    exponents.append(rng.uniform(1.0, 5.0))
+    model = PathLossModel(tuple(bounds), tuple(exponents), rng.uniform(20.0, 60.0))
+    cs = rng.uniform(-110.0, -60.0)
+    crossing = rng.uniform(bounds[0], 1.5 * bounds[-1])
+    radio = RadioConfig(tx_power_dbm=cs + path_loss_db(model, crossing),
+                        cs_threshold_dbm=cs, rx_sensitivity_dbm=cs + 3.0)
+    return radio, model
 
 
 class TestPathLoss:
@@ -37,6 +89,18 @@ class TestPathLoss:
             below = path_loss_db(model, b - 1e-9)
             above = path_loss_db(model, b + 1e-9)
             assert abs(above - below) < 1e-6
+
+    @pytest.mark.parametrize("model", [default_three_log_distance(),
+                                       default_fowlerville()],
+                             ids=["three_log_distance", "fowlerville"])
+    def test_matches_sequential_accumulation(self, model):
+        rng = random.Random(5)
+        distances = [d for b in model.boundaries_m for d in ulp_neighbours(b, 8)]
+        distances += [rng.uniform(0.0, 2000.0) for _ in range(50_000)]
+        distances += [10.0 ** rng.uniform(-3.0, 6.0) for _ in range(50_000)]
+        distances += [0.0, 1e300, sys.float_info.max]
+        for d in distances:
+            assert path_loss_db(model, d) == sequential_path_loss(model, d), d
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValidationError):
@@ -143,6 +207,55 @@ class TestHidden:
         assert hi == pytest.approx(analytic, abs=1e-6)
         assert not is_hidden(radio, model, (0.0, 0.0), (analytic - 1e-3, 0.0))
         assert is_hidden(radio, model, (0.0, 0.0), (analytic + 1e-3, 0.0))
+
+
+class TestHiddenRange:
+    def curve_agrees(self, radio, model, distances):
+        d_star = hidden_range_m(radio, model)
+        for d in distances:
+            curve = rss_dbm(radio, model, d) < radio.cs_threshold_dbm
+            assert (d >= d_star) == curve, (d, d_star)
+
+    def test_default_profile(self):
+        assert hidden_range_m(RadioConfig(), default_three_log_distance()) \
+            == 835.9002815595785
+
+    @pytest.mark.parametrize("seed", [None, 1, 3, 5, 8, 11])
+    def test_threshold_equals_curve_predicate(self, seed):
+        if seed is None:
+            radio, model = RadioConfig(), default_three_log_distance()
+        else:
+            radio, model = random_shadow_free(seed)
+        d_star = hidden_range_m(radio, model)
+        assert 0.0 < d_star < math.inf
+        rng = random.Random(seed or 0)
+        distances = ulp_neighbours(d_star, 1 << 16)
+        distances += [d for b in model.boundaries_m for d in ulp_neighbours(b, 8)]
+        distances += [rng.uniform(0.0, 2.0 * d_star) for _ in range(100_000)]
+        self.curve_agrees(radio, model, distances)
+
+    def test_hidden_at_zero_distance(self):
+        radio = RadioConfig(tx_power_dbm=-100.0)
+        model = three_log()
+        assert hidden_range_m(radio, model) == 0.0
+        rng = random.Random(2)
+        distances = [d for b in model.boundaries_m for d in ulp_neighbours(b, 8)]
+        distances += ulp_neighbours(0.0, 8)
+        distances += [rng.uniform(0.0, 1000.0) for _ in range(100_000)]
+        self.curve_agrees(radio, model, distances)
+
+    def test_flat_tail_never_hides(self):
+        radio = RadioConfig()
+        model = PathLossModel((1.0, 10.0), (2.0, 0.0), 40.0)
+        assert hidden_range_m(radio, model) == math.inf
+        rng = random.Random(3)
+        distances = [d for b in model.boundaries_m for d in ulp_neighbours(b, 8)]
+        distances += [rng.uniform(0.0, 1e6) for _ in range(100_000)]
+        distances += [1e300, sys.float_info.max]
+        self.curve_agrees(radio, model, distances)
+
+    def test_shadowed_model_has_no_range(self):
+        assert hidden_range_m(RadioConfig(), default_fowlerville()) is None
 
 
 class TestCapture:

@@ -1,12 +1,16 @@
 """Overlap classification, rescheduling rules, and the event-driven run loop."""
 
+import hashlib
+
 import pytest
 
-from rtcsim.channel import RadioConfig, default_three_log_distance, rss_dbm
+from rtcsim.channel import (RadioConfig, default_fowlerville,
+                            default_three_log_distance, rss_dbm)
 from rtcsim.errors import SchedulingError, ValidationError
 from rtcsim.mac import (KeyedBackoffRng, MacParams, Outcome, OverlapState,
-                        Packet, PdMode, apply_backoff, classify, init_queue,
-                        reschedule_after_aifs, resolve_transmission, run)
+                        Packet, PdMode, apply_backoff, classify,
+                        format_event_row, init_queue, reschedule_after_aifs,
+                        resolve_transmission, run)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology)
 
@@ -317,3 +321,41 @@ class TestRun:
         events, stats = run(sc, MODEL, RADIO, PARAMS, hv_transmits=False)
         assert stats.packets_expired == 1
         assert stats.conservation_holds()
+
+
+class TestGoldenEventLog:
+    """Event-log rows of a 150-vehicle, 3 s disk run at seed 7, pinned by sha256.
+
+    Any change to the scheduler or the channel that alters one byte of the
+    log in these configurations fails here.
+    """
+
+    CASES = {
+        "three_log_distance": (
+            default_three_log_distance(), MacParams(), True,
+            "1164d6a2e5f963beffd29db5227f3ba0fe3796c62b3c8a3119a674e65d55f73f"),
+        "fowlerville": (
+            default_fowlerville(), MacParams(), True,
+            "f9ca0d7091f0519478d6121814b4d92e95afe83e6af05adb00f3cf48e45ba322"),
+        "pd_per_pair": (
+            default_three_log_distance(),
+            MacParams(pd_mode=PdMode.PER_PAIR_SPEED_OF_LIGHT), True,
+            "a1cc5dc4b07f031e6b03ad195c79e6699e862ca6fd84daace30346aee8e7c877"),
+        "cw_fixed": (
+            default_three_log_distance(), MacParams(cw_min=7, cw_max=7), True,
+            "2ff914e292822b7cbcac3377f703a115df147eeae6311845b6c8f94f797a3af7"),
+        "hv_silent": (
+            default_three_log_distance(), MacParams(), False,
+            "dc45f158d85d38762b45cfcea9d8ff14c0ed7dc94a9f7fe222a004e7ac45e07e"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_event_log_rows(self, case):
+        model, params, hv_transmits, expected = self.CASES[case]
+        sc = generate_topology(
+            TopologySpec(kind=Topology.DISK, vehicle_count=150, radius_m=500.0),
+            10.0, 3.0, seed=7)
+        events, stats = run(sc, model, RADIO, params, hv_transmits=hv_transmits)
+        assert stats.conservation_holds()
+        rows = "\n".join(map(format_event_row, events)).encode()
+        assert hashlib.sha256(rows).hexdigest() == expected

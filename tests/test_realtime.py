@@ -117,6 +117,19 @@ class TestRealtime:
                          skip_budget_check=True)
         assert gc.isenabled()
 
+    def test_beacon_table_built_before_paced_window(self, monkeypatch):
+        import rtcsim.realtime as rt
+        sc = small_scenario(n=4, duration=1.0)
+        built = []
+
+        def no_events(scenario, *args, **kwargs):
+            built.append("beacon_positions" in vars(scenario))
+            return iter(())
+
+        monkeypatch.setattr(rt, "_iter_events", no_events)
+        run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(), skip_budget_check=True)
+        assert built == [True]
+
     def test_run_invariants_checked(self, monkeypatch):
         import rtcsim.mac as mac
 

@@ -129,6 +129,23 @@ class TestPositionAt:
         assert position_at(trace, 99.0) == (10.0, 0.0)
 
 
+class TestBeaconPositions:
+    def test_entry_k_is_position_at_kth_generation(self):
+        sc = generate_topology(disk_spec(12), 10.0, 3.0, seed=5)
+        table = sc.beacon_positions
+        assert sorted(table) == sorted(t.vehicle_id for t in sc.all_traces())
+        for trace in sc.all_traces():
+            gens = generation_schedule(trace, sc.duration_s)
+            assert table[trace.vehicle_id] == [position_at(trace, g) for g in gens]
+
+    def test_not_built_during_set_up(self, tmp_path):
+        # the table belongs to the run's cost, not to generating or loading
+        sc = generate_topology(disk_spec(5), 10.0, 1.0, seed=5)
+        save_scenario(sc, tmp_path)
+        for scenario in (sc, load_scenario(tmp_path)):
+            assert "beacon_positions" not in vars(scenario)
+
+
 class TestGenerationSchedule:
     def test_ten_hertz_over_one_second(self):
         trace = MobilityTrace(1, (Waypoint(0, 0, 0, 0, 0),), 10.0, 0.0)
