@@ -35,8 +35,10 @@ class SchedulingError(RtcsimError):
 
 
 class RealtimeViolationError(RtcsimError):
-    """Real-time pacing fell behind by more than the allowed budget.
+    """A paced delivery lagged the wall clock by more than the allowed budget.
 
+    The lag may come from a slow sink, a stalled host or a scheduler that
+    cannot keep ahead of the wall clock; one check covers all three.
     ``events`` holds the event log scheduled before the abort. It may run past
     the last delivered event, since the scheduler works ahead of the wall clock.
     """

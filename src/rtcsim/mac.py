@@ -169,7 +169,6 @@ class TxEvent:
 class RunStats:
     sim_duration_s: float = 0.0
     wall_time_s: float = 0.0
-    speedup: float = 0.0
     packets_generated: int = 0
     packets_decoded: int = 0
     packets_collided: int = 0
@@ -178,6 +177,12 @@ class RunStats:
     packets_queued_at_end: int = 0
     events: int = 0
     p99_delivery_lag_s: Optional[float] = None
+
+    @property
+    def speedup(self) -> float:
+        """Simulated seconds per wall-clock second of the run."""
+        return (self.sim_duration_s / self.wall_time_s
+                if self.wall_time_s > 0 else math.inf)
 
     def conservation_holds(self) -> bool:
         accounted = (self.packets_decoded + self.packets_collided
@@ -430,8 +435,6 @@ def run(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     events = list(_iter_events(scenario, model, radio, params, stats,
                                hv_transmits=hv_transmits))
     stats.wall_time_s = _time.perf_counter() - t0
-    stats.speedup = (scenario.duration_s / stats.wall_time_s
-                     if stats.wall_time_s > 0 else math.inf)
     verify_run_invariants(events, stats, params, model, radio)
     return events, stats
 

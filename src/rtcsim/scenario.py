@@ -123,8 +123,12 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ValidationError("duration_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValidationError(f"duration_s must be finite and positive, "
+                                  f"got {self.duration_s!r}")
+        # the backoff hash keys on 64 bits; a wider seed would alias another
+        if not 0 <= self.seed < 1 << 64:
+            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
         ids = [self.hv_trace.vehicle_id] + [t.vehicle_id for t in self.rv_traces]
         if len(set(ids)) != len(ids):
             raise ValidationError("vehicle ids must be unique within a scenario")
@@ -437,6 +441,15 @@ def save_scenario(scenario: Scenario, directory) -> Path:
     return path
 
 
+def _manifest_value(value, kind: type, what: str):
+    """A manifest entry of JSON type ``kind``; a float entry also takes an
+    integer, and JSON ``true``/``false`` is never a number."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"{what} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def load_scenario(source) -> Scenario:
     """Rebuild a scenario from a manifest path or its directory."""
     path = Path(source)
@@ -448,14 +461,16 @@ def load_scenario(source) -> Scenario:
         raise ValidationError(f"cannot load scenario manifest {path}: {exc}") from exc
 
     try:
-        hv_id = manifest["hv_id"]
-        duration_s = float(manifest["duration_s"])
-        seed = int(manifest["seed"])
-        entries = [(entry["id"], entry["file"],
-                    float(entry.get("tx_rate_hz", manifest["tx_rate_hz"])),
-                    float(entry.get("gen_phase_s", 0.0)))
+        hv_id = _manifest_value(manifest["hv_id"], int, "hv_id")
+        duration_s = _manifest_value(manifest["duration_s"], float, "duration_s")
+        seed = _manifest_value(manifest["seed"], int, "seed")
+        rate = _manifest_value(manifest["tx_rate_hz"], float, "tx_rate_hz")
+        entries = [(_manifest_value(entry["id"], int, "vehicle id"),
+                    _manifest_value(entry["file"], str, "vehicle file"),
+                    _manifest_value(entry.get("tx_rate_hz", rate), float, "tx_rate_hz"),
+                    _manifest_value(entry.get("gen_phase_s", 0.0), float, "gen_phase_s"))
                    for entry in manifest["vehicles"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed scenario manifest {path} "
                               f"({type(exc).__name__}: {exc})") from None
     traces: dict[int, MobilityTrace] = {}

@@ -1,9 +1,10 @@
-"""Shared helpers for scheduler-versus-replay equivalence checks."""
+"""Shared test helpers: scheduler-versus-replay checks and a stalling scheduler."""
 
 import random
+import time
 
 from rtcsim.channel import RadioConfig, default_three_log_distance
-from rtcsim.mac import KeyedBackoffRng, MacParams, Packet
+from rtcsim.mac import KeyedBackoffRng, MacParams, Packet, _iter_events
 from rtcsim.mac import run as mac_run
 from rtcsim.oracle import oracle_replay
 from rtcsim.scenario import MobilityTrace, Scenario, Waypoint
@@ -49,6 +50,14 @@ def event_signature(ev):
     return (ev.transmitter.key, round(ev.start_s, 9), round(ev.end_s, 9),
             tuple(c.key for c in ev.colliders), ev.outcome,
             ev.winner.key if ev.winner is not None else None)
+
+
+def slow_scheduler(stall_s: float = 0.15):
+    """Stand-in for ``realtime._iter_events`` that stalls, then yields the log."""
+    def iter_events(*args, **kwargs):
+        time.sleep(stall_s)
+        yield from _iter_events(*args, **kwargs)
+    return iter_events
 
 
 def run_both_ways(seed: int, model=None, radio=None, params=None):

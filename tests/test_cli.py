@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import slow_scheduler
 from rtcsim import metrics
 from rtcsim.channel import (RadioConfig, default_fowlerville,
                             default_three_log_distance)
@@ -279,6 +280,21 @@ class TestExitCodes:
                        "--set", "run.duration_s=1", "--out", str(tmp_path / "x"))
         assert code == 3
         assert "real-time violation" in capsys.readouterr().err
+
+    @pytest.mark.realtime
+    def test_slow_scheduler_exits_3_without_traceback(self, tmp_path, monkeypatch,
+                                                      capsys):
+        import rtcsim.realtime as rt
+        monkeypatch.setattr(rt, "_iter_events", slow_scheduler())
+        code = run_cli("run", "--mode", "realtime", "--null-sink",
+                       "--set", "scenario.vehicles=4",
+                       "--set", "run.duration_s=1", "--seed", "3",
+                       "--out", str(tmp_path / "x"))
+        assert code == 3
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines()
+                 if line.startswith("error: real-time violation: ")]
+        assert len(lines) == 1 and "Traceback" not in err
 
     def test_invariant_breach_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
         from rtcsim.errors import SchedulingError

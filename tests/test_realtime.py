@@ -7,12 +7,13 @@ import time
 
 import pytest
 
-from conftest import event_signature
+from conftest import event_signature, slow_scheduler
+import rtcsim.realtime as rt
 from rtcsim.channel import RadioConfig, default_three_log_distance
 from rtcsim.errors import (RealtimeViolationError, SchedulingError,
                            ValidationError)
 from rtcsim.mac import MacParams, Outcome, run
-from rtcsim.realtime import estimate_speedup, run_realtime
+from rtcsim.realtime import run_realtime
 from rtcsim.scenario import Topology, TopologySpec, generate_topology
 from rtcsim.wire import (BSM_DATAGRAM_SIZE, BsmRecord, NullSink, UdpSink,
                          pack_bsm, unpack_bsm)
@@ -55,7 +56,7 @@ class TestRealtime:
         sc = small_scenario(n=1, duration=0.5)
         t0 = time.perf_counter()
         events, stats = run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(),
-                                     hv_transmits=False, skip_budget_check=True)
+                                     hv_transmits=False)
         assert events == []
         assert time.perf_counter() - t0 < 0.5
         assert stats.p99_delivery_lag_s == 0.0
@@ -110,15 +111,12 @@ class TestRealtime:
             yield from batch[:2]
             raise SchedulingError("heap corrupted")
 
-        import rtcsim.realtime as rt
         monkeypatch.setattr(rt, "_iter_events", failing_events)
         with pytest.raises(SchedulingError, match="heap corrupted"):
-            run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(),
-                         skip_budget_check=True)
+            run_realtime(sc, MODEL, RADIO, PARAMS, NullSink())
         assert gc.isenabled()
 
     def test_beacon_table_built_before_paced_window(self, monkeypatch):
-        import rtcsim.realtime as rt
         sc = small_scenario(n=4, duration=1.0)
         built = []
 
@@ -127,7 +125,7 @@ class TestRealtime:
             return iter(())
 
         monkeypatch.setattr(rt, "_iter_events", no_events)
-        run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(), skip_budget_check=True)
+        run_realtime(sc, MODEL, RADIO, PARAMS, NullSink())
         assert built == [True]
 
     def test_run_invariants_checked(self, monkeypatch):
@@ -140,22 +138,27 @@ class TestRealtime:
         sc = small_scenario(n=1, duration=0.5)
         with pytest.raises(SchedulingError, match="conservation broken"):
             run_realtime(sc, MODEL, RADIO, PARAMS, NullSink(),
-                         hv_transmits=False, skip_budget_check=True)
+                         hv_transmits=False)
 
-    def test_budget_check_refuses_slow_scenarios(self):
+    def test_slow_scheduler_trips_violation_with_partial_log(self, monkeypatch):
         sc = small_scenario(n=4, duration=1.0)
-        import rtcsim.realtime as rt
-        original = rt.estimate_speedup
-        rt.estimate_speedup = lambda *a, **k: 0.5
-        try:
-            with pytest.raises(RealtimeViolationError):
-                run_realtime(sc, MODEL, RADIO, PARAMS, NullSink())
-        finally:
-            rt.estimate_speedup = original
+        batch, _ = run(sc, MODEL, RADIO, PARAMS)
+        monkeypatch.setattr(rt, "_iter_events", slow_scheduler())
+        with pytest.raises(RealtimeViolationError) as err:
+            run_realtime(sc, MODEL, RADIO, PARAMS, NullSink())
+        assert err.value.lag_s > 0.1
+        partial = [event_signature(e) for e in err.value.events]
+        assert 0 < len(partial) <= len(batch)
+        assert partial == [event_signature(e) for e in batch[:len(partial)]]
+        assert gc.isenabled()
 
-    def test_estimate_speedup_is_fast_for_small_runs(self):
-        sc = small_scenario(n=10, duration=2.0)
-        assert estimate_speedup(sc, MODEL, RADIO, PARAMS) > 2.0
+    def test_waiting_does_not_busy_wait(self):
+        spec = TopologySpec(kind=Topology.DISK, vehicle_count=100, radius_m=500.0)
+        sc = generate_topology(spec, 10.0, 2.0, seed=7)
+        cpu0, wall0 = time.process_time(), time.perf_counter()
+        run_realtime(sc, MODEL, RADIO, PARAMS, NullSink())
+        cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+        assert cpu < 0.5 * wall, (cpu, wall)
 
 
 @pytest.mark.realtime

@@ -3,10 +3,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
 
+import rtcsim
+from rtcsim.cli import EXIT_CONFIG
+from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology, generation_schedule,
@@ -267,6 +274,61 @@ class TestTraceFilesRoundTrip:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
 
+def save_edited_manifest(directory, **values):
+    """Save a 3-vehicle scenario, then overwrite manifest entries by key."""
+    save_scenario(generate_topology(disk_spec(3), 8.0, 1.0, seed=77), directory)
+    path = directory / "scenario.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(values)
+    path.write_text(json.dumps(manifest))
+
+
+# Runs the command line under a 1 GiB address-space cap, so an input that
+# makes the run grow without bound fails with MemoryError instead of
+# exhausting the host.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rtcsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestManifestValues:
+    @pytest.mark.parametrize("key,value", [
+        ("hv_id", [1]), ("hv_id", True), ("hv_id", 1.0), ("seed", -5),
+        ("seed", 2**70), ("seed", 2**64), ("seed", 7.5), ("seed", True),
+        ("duration_s", 0), ("duration_s", -1.0), ("duration_s", "1"),
+        ("duration_s", True), ("duration_s", 10**400), ("tx_rate_hz", True),
+        ("vehicles", [{"id": True, "file": "vehicle_1.csv"}]),
+        ("vehicles", [{"id": 1, "file": 5}])])
+    def test_bad_value_is_one_line_config_error(self, key, value, tmp_path, capsys):
+        save_edited_manifest(tmp_path, **{key: value})
+        code = cli_main(["run", "--trace-dir", str(tmp_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_largest_seed_loads(self, tmp_path):
+        save_edited_manifest(tmp_path, seed=2**64 - 1)
+        assert load_scenario(tmp_path).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duration_rejected_before_allocating(self, value, tmp_path):
+        save_edited_manifest(tmp_path, duration_s=value)  # written as NaN, Infinity
+        src = str(Path(rtcsim.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, "run", "--trace-dir", str(tmp_path),
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 class TestGeodeticProjection:
     def test_reference_maps_to_origin(self):
         from rtcsim.scenario import project_geodetic
@@ -294,6 +356,18 @@ class TestScenarioInvariants:
     def test_waypoint_monotonicity_enforced(self):
         with pytest.raises(ValidationError):
             MobilityTrace(1, (Waypoint(1, 0, 0, 0, 0), Waypoint(1, 1, 1, 0, 0)))
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_finite_and_positive(self, duration_s):
+        hv = MobilityTrace(0, (Waypoint(0, 0, 0, 0, 0),))
+        with pytest.raises(ValidationError, match="duration_s"):
+            Scenario(hv, (), duration_s, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_must_fit_64_bits(self, seed):
+        hv = MobilityTrace(0, (Waypoint(0, 0, 0, 0, 0),))
+        with pytest.raises(ValidationError, match="seed"):
+            Scenario(hv, (), 1.0, seed)
 
     def test_phase_must_sit_inside_period(self):
         with pytest.raises(ValidationError):
