@@ -161,6 +161,9 @@ def cmd_run(args) -> int:
         return EXIT_OK
     scenario = _materialize_scenario(cfg)
     model = cfg.model
+    # refuse metric series past the size limit before the run, not after it
+    metrics.cbp_window_count(scenario.duration_s, cfg.cbp_window_s)
+    metrics.per_bin_count(cfg.per_max_distance_m, cfg.per_bin_m)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 

@@ -22,9 +22,11 @@ margin over the runner-up.
 
 Everything the loop needs that does not change during a run is worked out
 once before it starts: the timing sums, the fixed propagation delay, the
-hidden range of a shadow-free channel (``channel.hidden_range_m``), and the
+hidden range of a shadow-free channel (``channel.hidden_range_m``), the
 position of every vehicle at each of its beacon instants
-(``Scenario.beacon_positions``, shared with the packet-error metric).
+(``Scenario.beacon_positions``, shared with the packet-error metric), and
+the host vehicle's position when it never moves
+(``MobilityTrace.fixed_position``).
 """
 
 from __future__ import annotations
@@ -336,6 +338,7 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     rng = KeyedBackoffRng(scenario.seed, params.cw_min, params.cw_max)
     duration = scenario.duration_s
     hv_trace = scenario.hv_trace
+    hv_fixed = hv_trace.fixed_position
     traces = scenario.traces_by_id
     positions = scenario.beacon_positions
     tx = params.tx_interval_s
@@ -380,6 +383,10 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         boundary = end + aifs
         cx, cy = current.tx_position
         overlap: list[Packet] = []
+        # a head keyed at this very instant collides whatever the band rule
+        # would weigh: hidden or not, its offset 0 is within pd and tx
+        while heap and heap[0][0] == start:
+            overlap.append(heapq.heappop(heap)[3])
 
         while heap:
             head = heap[0][3]
@@ -412,7 +419,7 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 continue
             heapq.heappush(heap, (head.sched_time_s, head.vehicle_id, head.seq, head))
 
-        hv_pos = position_at(hv_trace, start)
+        hv_pos = hv_fixed if hv_fixed is not None else position_at(hv_trace, start)
         event = resolve_transmission(current, overlap, model, radio, hv_pos)
         stats.events += 1
         if event.outcome is Outcome.DECODED:

@@ -9,17 +9,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import ValidationError
 from .mac import Outcome, RunStats, TxEvent
-from .scenario import Scenario, generation_schedule, position_at, write_lines
+from .scenario import Scenario, position_at, write_lines
 
 DEFAULT_CBP_WINDOW_S = 0.1
 DEFAULT_PER_BIN_M = 25.0
 DEFAULT_PER_MAX_DISTANCE_M = 400.0
+
+# Most points one CBP series, PER histogram or RSS curve may hold; a longer
+# one is refused before anything is allocated for it.
+MAX_SERIES_POINTS = 1_000_000
 
 
 @dataclass
@@ -72,6 +77,30 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
     return merged
 
 
+def _check_length(points: float, what: str) -> None:
+    if not points <= MAX_SERIES_POINTS:
+        raise ValidationError(f"{what} gives {points:.7g} points; the limit is "
+                              f"{MAX_SERIES_POINTS}")
+
+
+def cbp_window_count(duration_s: float, window_s: float) -> int:
+    """Windows of a CBP series over ``duration_s``, within MAX_SERIES_POINTS."""
+    if window_s <= 0:
+        raise ValidationError("window_s must be positive")
+    windows = duration_s / window_s - 1e-12
+    _check_length(windows, f"metrics.cbp_window_s = {window_s!r} over {duration_s!r} s")
+    return int(math.ceil(windows))
+
+
+def per_bin_count(max_distance_m: float, bin_width_m: float) -> int:
+    """Bins of a PER histogram up to ``max_distance_m``, within MAX_SERIES_POINTS."""
+    if bin_width_m <= 0:
+        raise ValidationError("bin_width_m must be positive")
+    bins = max_distance_m / bin_width_m - 1e-12
+    _check_length(bins, f"metrics.per_bin_m = {bin_width_m!r} up to {max_distance_m!r} m")
+    return int(math.ceil(bins))
+
+
 def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
                 model: PathLossModel, radio: RadioConfig,
                 window_s: float = DEFAULT_CBP_WINDOW_S) -> CbpSeries:
@@ -81,9 +110,8 @@ def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
     carrier-sense threshold (the HV's own transmissions trivially do).
     Overlapping occupancies are unioned, not summed.
     """
-    if window_s <= 0:
-        raise ValidationError("window_s must be positive")
     duration = scenario.duration_s
+    n_windows = cbp_window_count(duration, window_s)
     hidden_range = chan.hidden_range_m(radio, model)
     busy = []
     for ev in events:
@@ -97,7 +125,6 @@ def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
             busy.append((lo, hi))
     busy = _merge_intervals(busy)
 
-    n_windows = int(math.ceil(duration / window_s - 1e-12))
     samples = []
     total_busy = 0.0
     i = 0
@@ -128,30 +155,39 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
     winner. Packets that expired or never reached the air are errors in
     their distance bin.
     """
-    if bin_width_m <= 0:
-        raise ValidationError("bin_width_m must be positive")
+    n_bins = per_bin_count(max_distance_m, bin_width_m)
     hv_trace = scenario.traces_by_id[hv_id]
+    hv_fixed = hv_trace.fixed_position
     decoded = {ev.winner.key for ev in events
                if ev.outcome is Outcome.DECODED and ev.winner is not None}
 
-    n_bins = int(math.ceil(max_distance_m / bin_width_m - 1e-12))
-    bins = [PerBin(k * bin_width_m, min((k + 1) * bin_width_m, max_distance_m), 0, 0)
-            for k in range(n_bins)]
+    last_bin = n_bins - 1
+    sent = [0] * n_bins
+    errors = [0] * n_bins
     for trace in scenario.all_traces():
-        if trace.vehicle_id == hv_id:
+        vid = trace.vehicle_id
+        if vid == hv_id:
             continue
-        gens = generation_schedule(trace, scenario.duration_s)
-        positions = scenario.beacon_positions[trace.vehicle_id]
-        for seq, (gen, pos) in enumerate(zip(gens, positions)):
-            d = chan.distance_m(pos, position_at(hv_trace, gen))
+        positions = scenario.beacon_positions[vid]
+        if hv_fixed is not None:
+            hv_at = repeat(hv_fixed)
+        else:
+            # the generation schedule's closed form gives each beacon's instant
+            phase, period = trace.gen_phase_s, 1.0 / trace.tx_rate_hz
+            hv_at = (position_at(hv_trace, phase + seq * period)
+                     for seq in range(len(positions)))
+        for seq, (pos, hv_pos) in enumerate(zip(positions, hv_at)):
+            d = chan.distance_m(pos, hv_pos)
             if d >= max_distance_m:
                 continue
-            idx = min(int(d / bin_width_m), n_bins - 1)
-            bins[idx].sent += 1
-            if (trace.vehicle_id, seq) not in decoded:
-                bins[idx].errors += 1
-    total_sent = sum(b.sent for b in bins)
-    total_err = sum(b.errors for b in bins)
+            idx = min(int(d / bin_width_m), last_bin)
+            sent[idx] += 1
+            if (vid, seq) not in decoded:
+                errors[idx] += 1
+    bins = [PerBin(k * bin_width_m, min((k + 1) * bin_width_m, max_distance_m),
+                   sent[k], errors[k]) for k in range(n_bins)]
+    total_sent = sum(sent)
+    total_err = sum(errors)
     average = total_err / total_sent if total_sent > 0 else None
     return PerHistogram(bin_width_m=bin_width_m, max_distance_m=max_distance_m,
                         bins=bins, average=average)
@@ -164,7 +200,9 @@ def rss_curve(radio: RadioConfig, model: PathLossModel, d_min_m: float,
         raise ValidationError("need 0 <= d_min < d_max < inf")
     if not step_m > 0:
         raise ValidationError("step_m must be positive")
-    n = int(math.floor((d_max_m - d_min_m) / step_m + 1e-9)) + 1
+    steps = (d_max_m - d_min_m) / step_m + 1e-9
+    _check_length(steps + 1.0, f"rss --step {step_m!r} over [{d_min_m!r}, {d_max_m!r}] m")
+    n = int(math.floor(steps)) + 1
     return [(d_min_m + k * step_m,
              chan.rss_dbm(radio, model, d_min_m + k * step_m)) for k in range(n)]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -114,6 +115,18 @@ class MobilityTrace:
     def _times(self) -> list[float]:
         return [w.time_s for w in self.waypoints]
 
+    @cached_property
+    def fixed_position(self) -> Optional[tuple[float, float]]:
+        """The one position of a trace that never moves, else None.
+
+        ``position_at`` may return ``-0.0`` where this holds ``+0.0``; the
+        two give the same distance to any point.
+        """
+        x, y = self.waypoints[0].x_m, self.waypoints[0].y_m
+        if all(w.x_m == x and w.y_m == y for w in self.waypoints):
+            return (x, y)
+        return None
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -148,13 +161,20 @@ class Scenario:
     def beacon_positions(self) -> dict[int, list[tuple[float, float]]]:
         """Each vehicle's position at each of its beacon generation instants.
 
-        Entry ``k`` of a vehicle's list is ``position_at`` at the ``k``-th
-        time of its ``generation_schedule``. Built on first use, which the
-        runners make part of the run rather than of scenario set-up.
+        Entry ``k`` of a vehicle's list equals ``position_at`` at the
+        ``k``-th time of its ``generation_schedule``; the times ascend, so
+        one forward walk over the waypoints serves them all. Built on first
+        use, which the runners make part of the run rather than of scenario
+        set-up.
         """
-        return {t.vehicle_id: [position_at(t, gen)
-                               for gen in generation_schedule(t, self.duration_s)]
+        return {t.vehicle_id: _walk_positions(t, generation_schedule(t, self.duration_s))
                 for t in self.all_traces()}
+
+
+def _between(a: Waypoint, b: Waypoint, t: float) -> tuple[float, float]:
+    """Position at ``t`` on the straight leg from waypoint ``a`` to ``b``."""
+    f = (t - a.time_s) / (b.time_s - a.time_s)
+    return (a.x_m + f * (b.x_m - a.x_m), a.y_m + f * (b.y_m - a.y_m))
 
 
 def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
@@ -165,9 +185,26 @@ def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     if t >= wps[-1].time_s:
         return (wps[-1].x_m, wps[-1].y_m)
     i = bisect_right(trace._times, t)
-    a, b = wps[i - 1], wps[i]
-    f = (t - a.time_s) / (b.time_s - a.time_s)
-    return (a.x_m + f * (b.x_m - a.x_m), a.y_m + f * (b.y_m - a.y_m))
+    return _between(wps[i - 1], wps[i], t)
+
+
+def _walk_positions(trace: MobilityTrace, times: list[float]) -> list[tuple[float, float]]:
+    """``position_at`` at each of ascending ``times``, in one pass over the waypoints."""
+    wps = trace.waypoints
+    first, last = wps[0], wps[-1]
+    out = []
+    i = 1
+    for t in times:
+        if t <= first.time_s:
+            out.append((first.x_m, first.y_m))
+        elif t >= last.time_s:
+            out.append((last.x_m, last.y_m))
+        else:
+            # the bisect_right index: first waypoint strictly after t
+            while wps[i].time_s <= t:
+                i += 1
+            out.append(_between(wps[i - 1], wps[i], t))
+    return out
 
 
 def sample_at(trace: MobilityTrace, t: float) -> Waypoint:
@@ -450,6 +487,18 @@ def _manifest_value(value, kind: type, what: str):
     return kind(value)
 
 
+def _manifest_file(value) -> str:
+    """A manifest's vehicle file name, normalized. It must stay inside the
+    manifest's directory: no absolute path, no ``..`` climbing out of it.
+    The check is lexical, and reading the normalized name opens the file it
+    judged."""
+    name = _manifest_value(value, str, "vehicle file")
+    normal = os.path.normpath(name)
+    if "\0" in name or os.path.isabs(normal) or Path(normal).parts[:1] == (os.pardir,):
+        raise ValidationError(f"vehicle file {name!r} lies outside the scenario directory")
+    return normal
+
+
 def load_scenario(source) -> Scenario:
     """Rebuild a scenario from a manifest path or its directory."""
     path = Path(source)
@@ -466,7 +515,7 @@ def load_scenario(source) -> Scenario:
         seed = _manifest_value(manifest["seed"], int, "seed")
         rate = _manifest_value(manifest["tx_rate_hz"], float, "tx_rate_hz")
         entries = [(_manifest_value(entry["id"], int, "vehicle id"),
-                    _manifest_value(entry["file"], str, "vehicle file"),
+                    _manifest_file(entry["file"]),
                     _manifest_value(entry.get("tx_rate_hz", rate), float, "tx_rate_hz"),
                     _manifest_value(entry.get("gen_phase_s", 0.0), float, "gen_phase_s"))
                    for entry in manifest["vehicles"]]

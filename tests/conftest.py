@@ -1,8 +1,14 @@
-"""Shared test helpers: scheduler-versus-replay checks and a stalling scheduler."""
+"""Shared test helpers: scheduler-versus-replay checks, a stalling scheduler and
+a command line run under a memory cap."""
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import rtcsim
 from rtcsim.channel import RadioConfig, default_three_log_distance
 from rtcsim.mac import KeyedBackoffRng, MacParams, Packet, _iter_events
 from rtcsim.mac import run as mac_run
@@ -79,3 +85,24 @@ def assert_logs_equal(scheduled, replayed, context=""):
     a = [event_signature(e) for e in scheduled]
     b = [event_signature(e) for e in replayed]
     assert a == b, f"{context}\nscheduler: {a}\nreplay:    {b}"
+
+
+# Runs the command line under a 1 GiB address-space cap, so an input that
+# makes the run grow without bound fails with MemoryError instead of
+# exhausting the host.
+CAPPED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from rtcsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped_cli(*args: str) -> subprocess.CompletedProcess:
+    """``rtcsim`` with ``args`` in a child process under the address-space cap."""
+    src = str(Path(rtcsim.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, *args], env=env,
+                          capture_output=True, text=True, timeout=120)

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from rtcsim import channel as chan
 from rtcsim.channel import (RadioConfig, default_fowlerville,
                             default_three_log_distance, rss_dbm)
 from rtcsim.errors import SchedulingError, ValidationError
@@ -11,8 +12,11 @@ from rtcsim.mac import (KeyedBackoffRng, MacParams, Outcome, OverlapState,
                         Packet, PdMode, apply_backoff, classify,
                         format_event_row, init_queue, reschedule_after_aifs,
                         resolve_transmission, run)
+from rtcsim.metrics import (compute_cbp, compute_per, write_cbp_csv,
+                            write_per_csv)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                             Waypoint, generate_topology)
+                             Waypoint, generate_topology, load_scenario,
+                             save_scenario)
 
 MODEL = default_three_log_distance()
 RADIO = RadioConfig()
@@ -327,7 +331,9 @@ class TestGoldenEventLog:
     """Event-log rows of a 150-vehicle, 3 s disk run at seed 7, pinned by sha256.
 
     Any change to the scheduler or the channel that alters one byte of the
-    log in these configurations fails here.
+    log in these configurations fails here. The CBP and PER of each run must
+    also come out the same when the shadow-free and parked-host shortcuts
+    are switched off, and a run with a moving HV is pinned with its metrics.
     """
 
     CASES = {
@@ -349,13 +355,61 @@ class TestGoldenEventLog:
             "dc45f158d85d38762b45cfcea9d8ff14c0ed7dc94a9f7fe222a004e7ac45e07e"),
     }
 
+    @staticmethod
+    def golden_scenario():
+        return generate_topology(
+            TopologySpec(kind=Topology.DISK, vehicle_count=150, radius_m=500.0),
+            10.0, 3.0, seed=7)
+
+    @staticmethod
+    def outputs(sc, model, params, hv_transmits):
+        """Event-log rows, CBP series and PER histogram of one run."""
+        events, stats = run(sc, model, RADIO, params, hv_transmits=hv_transmits)
+        assert stats.conservation_holds()
+        rows = "\n".join(map(format_event_row, events))
+        return (rows, compute_cbp(events, sc, model, RADIO),
+                compute_per(events, sc, sc.hv_trace.vehicle_id))
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_event_log_rows(self, case):
         model, params, hv_transmits, expected = self.CASES[case]
-        sc = generate_topology(
-            TopologySpec(kind=Topology.DISK, vehicle_count=150, radius_m=500.0),
-            10.0, 3.0, seed=7)
-        events, stats = run(sc, model, RADIO, params, hv_transmits=hv_transmits)
-        assert stats.conservation_holds()
-        rows = "\n".join(map(format_event_row, events)).encode()
-        assert hashlib.sha256(rows).hexdigest() == expected
+        rows, _, _ = self.outputs(self.golden_scenario(), model, params, hv_transmits)
+        assert hashlib.sha256(rows.encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_fast_paths_match_the_general_paths(self, case, monkeypatch):
+        # the distance threshold against the curve, the parked host against
+        # interpolating it at every instant
+        model, params, hv_transmits, _ = self.CASES[case]
+        fast = self.outputs(self.golden_scenario(), model, params, hv_transmits)
+        monkeypatch.setattr(chan, "hidden_range_m", lambda radio, model: None)
+        monkeypatch.setattr(MobilityTrace, "fixed_position", None)
+        sc = self.golden_scenario()
+        assert sc.hv_trace.fixed_position is None
+        rows, cbp, per = self.outputs(sc, model, params, hv_transmits)
+        assert rows == fast[0]
+        assert (cbp.samples, cbp.average) == (fast[1].samples, fast[1].average)
+        assert (per.bins, per.average) == (fast[2].bins, fast[2].average)
+
+    def test_moving_host_vehicle(self, tmp_path):
+        """A saved scenario whose HV drives across the disk on uneven legs."""
+        base = self.golden_scenario()
+        hv = MobilityTrace(0, (Waypoint(0.0, -300.0, -50.0, 200.0, 0.2),
+                               Waypoint(0.7, -160.0, -20.0, 200.0, 0.2),
+                               Waypoint(1.3, -40.0, 0.0, 200.0, 0.0),
+                               Waypoint(2.2, 140.0, 30.0, 200.0, 0.2),
+                               Waypoint(3.0, 300.0, 80.0, 200.0, 0.3)),
+                           base.hv_trace.tx_rate_hz, base.hv_trace.gen_phase_s)
+        save_scenario(Scenario(hv, base.rv_traces, base.duration_s, base.seed), tmp_path)
+        sc = load_scenario(tmp_path)
+        assert sc.hv_trace.fixed_position is None
+        rows, cbp, per = self.outputs(sc, default_three_log_distance(), MacParams(), True)
+        write_cbp_csv(cbp, tmp_path / "cbp.csv")
+        write_per_csv(per, tmp_path / "per.csv")
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            rows.encode(), (tmp_path / "cbp.csv").read_bytes(),
+            (tmp_path / "per.csv").read_bytes())]
+        assert digests == [
+            "b34937b13b115bfa0b518560829852872cedbe8b8d0b5daee7bfab67d766fbef",
+            "8b92ca6b5a8087b8f1f6c59a72096544bea766d6b2521cd7e3788b3cfdd196df",
+            "bb62deb6963a87b271efae0e2d518767bfc117792a202a204346cfd15eb25925"]

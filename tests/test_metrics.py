@@ -4,11 +4,14 @@ import math
 
 import pytest
 
+from conftest import run_capped_cli
 from rtcsim.channel import (PathLossModel, RadioConfig,
                             default_three_log_distance)
+from rtcsim.cli import EXIT_CONFIG
 from rtcsim.errors import ValidationError
 from rtcsim.mac import MacParams, Outcome, Packet, RunStats, TxEvent, run
-from rtcsim.metrics import (compute_cbp, compute_per, rss_curve, summarize,
+from rtcsim.metrics import (MAX_SERIES_POINTS, cbp_window_count, compute_cbp,
+                            compute_per, per_bin_count, rss_curve, summarize,
                             write_plot_data)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology, generation_schedule,
@@ -205,6 +208,36 @@ class TestRssCurve:
             rss_curve(RADIO, MODEL, 0.0, 10.0, math.nan)
         with pytest.raises(ValidationError):
             rss_curve(RADIO, MODEL, 0.0, math.inf, 1.0)
+
+
+class TestSeriesSizeLimit:
+    def test_counts_up_to_the_limit(self):
+        assert cbp_window_count(20.0, 0.1) == 200
+        assert cbp_window_count(1.0, 1.0 / MAX_SERIES_POINTS) == MAX_SERIES_POINTS
+        assert per_bin_count(400.0, 25.0) == 16
+        assert per_bin_count(MAX_SERIES_POINTS * 0.5, 0.5) == MAX_SERIES_POINTS
+
+    def test_one_past_the_limit_is_refused(self):
+        with pytest.raises(ValidationError, match=f"1000001 points; the limit is "
+                                                  f"{MAX_SERIES_POINTS}"):
+            cbp_window_count(MAX_SERIES_POINTS + 1.0, 1.0)
+        with pytest.raises(ValidationError, match="1000001 points"):
+            per_bin_count(MAX_SERIES_POINTS + 1.0, 1.0)
+        with pytest.raises(ValidationError, match="1000001 points"):
+            rss_curve(RADIO, MODEL, 0.0, float(MAX_SERIES_POINTS), 1.0)
+
+    # each probe would allocate far past the cap if the limit were missing
+    @pytest.mark.parametrize("args,count", [
+        (("run", "--set", "metrics.cbp_window_s=1e-300"), "2e+301"),
+        (("run", "--set", "metrics.per_bin_m=1e-300"), "4e+302"),
+        (("rss", "--step", "1e-300"), "9.99e+302")])
+    def test_cli_refuses_in_one_line_before_allocating(self, args, count, tmp_path):
+        proc = run_capped_cli(*args, "--set", "scenario.vehicles=3",
+                              "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"{count} points; the limit is {MAX_SERIES_POINTS}" in proc.stderr
+        assert not (tmp_path / "out" / "event_log.csv").exists()
 
 
 class TestSimReport:

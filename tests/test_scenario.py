@@ -3,15 +3,11 @@
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
 
-import rtcsim
+from conftest import run_capped_cli
 from rtcsim.cli import EXIT_CONFIG
 from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
@@ -136,6 +132,31 @@ class TestPositionAt:
         assert position_at(trace, 99.0) == (10.0, 0.0)
 
 
+class TestFixedPosition:
+    def test_static_trace_is_parked_at_its_waypoint(self):
+        wps = tuple(Waypoint(t, 4.0, -3.0, 0.0, 0.0) for t in (0.0, 0.5, 2.0))
+        trace = MobilityTrace(1, wps)
+        assert trace.fixed_position == (4.0, -3.0)
+        for t in (-1.0, 0.0, 0.3, 0.5, 1.234, 5.0):
+            assert position_at(trace, t) == trace.fixed_position
+
+    def test_single_waypoint_is_parked(self):
+        assert MobilityTrace(1, (Waypoint(1.0, 2.0, 3.0, 0.0, 0.0),)).fixed_position \
+            == (2.0, 3.0)
+
+    @pytest.mark.parametrize("moved", ["x", "y"])
+    def test_any_move_unparks(self, moved):
+        last = (Waypoint(2.0, 4.5, -3.0, 0.0, 0.0) if moved == "x"
+                else Waypoint(2.0, 4.0, -3.5, 0.0, 0.0))
+        trace = MobilityTrace(1, (Waypoint(0.0, 4.0, -3.0, 0.0, 0.0), last))
+        assert trace.fixed_position is None
+
+    def test_generated_host_is_parked_and_rvs_move(self):
+        sc = generate_topology(disk_spec(4), 10.0, 1.0, seed=5)
+        assert sc.hv_trace.fixed_position == (0.0, 0.0)
+        assert all(t.fixed_position is None for t in sc.rv_traces)
+
+
 class TestBeaconPositions:
     def test_entry_k_is_position_at_kth_generation(self):
         sc = generate_topology(disk_spec(12), 10.0, 3.0, seed=5)
@@ -144,6 +165,50 @@ class TestBeaconPositions:
         for trace in sc.all_traces():
             gens = generation_schedule(trace, sc.duration_s)
             assert table[trace.vehicle_id] == [position_at(trace, g) for g in gens]
+
+    @staticmethod
+    def assert_table_matches(traces, duration_s):
+        hv = MobilityTrace(0, (Waypoint(0.0, 0.0, 0.0, 0.0, 0.0),))
+        sc = Scenario(hv, tuple(traces), duration_s, 0)
+        for trace in traces:
+            expected = [position_at(trace, g)
+                        for g in generation_schedule(trace, duration_s)]
+            got = sc.beacon_positions[trace.vehicle_id]
+            assert got == expected
+            assert repr(got) == repr(expected)  # signed zeros too
+
+    def test_single_waypoint(self):
+        self.assert_table_matches(
+            [MobilityTrace(1, (Waypoint(0.4, -0.0, 7.5, 0.0, 0.0),))], 1.0)
+
+    def test_irregular_spacing(self):
+        times = (0.0, 0.013, 0.5, 0.51, 0.9, 1.7, 1.75, 3.0)
+        wps = tuple(Waypoint(t, 3.0 * t * t - 1.0, math.sin(7.0 * t), 1.0, 0.0)
+                    for t in times)
+        self.assert_table_matches([MobilityTrace(1, wps, 10.0, 0.037)], 3.0)
+
+    def test_beacons_before_first_and_after_last_waypoint(self):
+        wps = (Waypoint(0.35, 1.0, 2.0, 1.0, 0.0), Waypoint(0.55, 4.0, -2.0, 1.0, 0.0),
+               Waypoint(0.8, 9.0, 0.5, 1.0, 0.0))
+        trace = MobilityTrace(1, wps, 10.0, 0.02)
+        gens = generation_schedule(trace, 1.5)
+        assert gens[0] < wps[0].time_s and gens[-1] > wps[-1].time_s
+        self.assert_table_matches([trace], 1.5)
+
+    def test_beacon_exactly_on_a_waypoint_time(self):
+        # 4 Hz from phase 0 puts beacons at exact quarters, the waypoint times;
+        # 0.1 + (0.3 - 0.1) != 0.3, so interpolating up to a waypoint instead
+        # of starting from it shows
+        wps = (Waypoint(0.0, 0.1, 0.0, 1.0, 0.0), Waypoint(0.25, 0.3, 0.7, 1.0, 0.0),
+               Waypoint(0.5, -2.0, 0.1, 1.0, 0.0), Waypoint(1.0, 5.0, 5.0, 1.0, 0.0))
+        trace = MobilityTrace(1, wps, 4.0, 0.0)
+        assert {0.25, 0.5} <= set(generation_schedule(trace, 1.0))
+        self.assert_table_matches([trace], 1.0)
+
+    def test_two_hertz_with_phase(self):
+        wps = tuple(Waypoint(0.1 * k, 10.0 * math.cos(k), 10.0 * math.sin(k), 1.0, 0.0)
+                    for k in range(31))
+        self.assert_table_matches([MobilityTrace(1, wps, 2.0, 0.3137)], 3.0)
 
     def test_not_built_during_set_up(self, tmp_path):
         # the table belongs to the run's cost, not to generating or loading
@@ -283,17 +348,6 @@ def save_edited_manifest(directory, **values):
     path.write_text(json.dumps(manifest))
 
 
-# Runs the command line under a 1 GiB address-space cap, so an input that
-# makes the run grow without bound fails with MemoryError instead of
-# exhausting the host.
-CAPPED_CLI = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from rtcsim.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
 class TestManifestValues:
     @pytest.mark.parametrize("key,value", [
         ("hv_id", [1]), ("hv_id", True), ("hv_id", 1.0), ("seed", -5),
@@ -317,16 +371,42 @@ class TestManifestValues:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_duration_rejected_before_allocating(self, value, tmp_path):
         save_edited_manifest(tmp_path, duration_s=value)  # written as NaN, Infinity
-        src = str(Path(rtcsim.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", CAPPED_CLI, "run", "--trace-dir", str(tmp_path),
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = run_capped_cli("run", "--trace-dir", str(tmp_path),
+                              "--out", str(tmp_path / "out"))
         assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestManifestFiles:
+    @staticmethod
+    def save_with_file(directory, name):
+        save_scenario(generate_topology(disk_spec(3), 8.0, 1.0, seed=77), directory)
+        path = directory / "scenario.json"
+        manifest = json.loads(path.read_text())
+        manifest["vehicles"][1]["file"] = name
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("name", ["../vehicle_1.csv", "ABSOLUTE", "a/../../x.csv",
+                                      "vehicle_1.csv\x00"])
+    def test_file_outside_the_directory_is_config_error(self, name, tmp_path, capsys):
+        scenario_dir = tmp_path / "scenario"
+        scenario_dir.mkdir()
+        if name == "ABSOLUTE":
+            name = str(scenario_dir / "vehicle_1.csv")
+        # real trace files wait at each target, so only the check can refuse
+        save_scenario(generate_topology(disk_spec(3), 8.0, 1.0, seed=77), tmp_path)
+        (tmp_path / "x.csv").write_text((tmp_path / "vehicle_1.csv").read_text())
+        self.save_with_file(scenario_dir, name)
+        code = cli_main(["run", "--trace-dir", str(scenario_dir),
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "outside the scenario directory" in err
+
+    def test_relative_name_inside_the_directory_loads(self, tmp_path):
+        self.save_with_file(tmp_path, "./vehicle_1.csv")
+        assert load_scenario(tmp_path).vehicle_count == 3
 
 
 class TestGeodeticProjection:

@@ -1,0 +1,43 @@
+"""The benchmark's tracer patches rtcsim attributes by name.
+
+``perfbench/tracer.py`` replaces hot functions of ``channel``, ``mac``,
+``metrics`` and ``wire`` and puts the originals back afterwards. A refactor
+that renames or drops one of them would only show in a traced benchmark run;
+this test makes it fail here instead.
+"""
+
+import sys
+from pathlib import Path
+
+from rtcsim import channel, mac, metrics, wire
+from rtcsim.channel import RadioConfig, default_three_log_distance
+from rtcsim.scenario import Topology, TopologySpec, generate_topology
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+def namespaces():
+    return {m.__name__: dict(vars(m)) for m in (channel, mac, metrics, wire)} | {
+        "KeyedBackoffRng": dict(vars(mac.KeyedBackoffRng))}
+
+
+def test_wrappers_install_count_and_uninstall():
+    sys.path.insert(0, PERFBENCH)
+    try:
+        from tracer import Tracer, install_rtcsim_wrappers
+    finally:
+        sys.path.remove(PERFBENCH)
+    before = namespaces()
+    tracer = Tracer("t")
+    try:
+        install_rtcsim_wrappers(tracer)
+        sc = generate_topology(
+            TopologySpec(kind=Topology.DISK, vehicle_count=20, radius_m=300.0),
+            10.0, 0.5, seed=3)
+        _, stats = mac.run(sc, default_three_log_distance(), RadioConfig(),
+                           mac.MacParams())
+    finally:
+        tracer.uninstall()
+    assert namespaces() == before
+    assert tracer.calls()["mac.resolve_transmission"][0] == stats.events > 0
+    assert tracer.span_seconds("invariants") > 0
