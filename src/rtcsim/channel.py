@@ -16,9 +16,10 @@ On top of the loss curve sit the three questions the scheduler asks:
 Without shadowing the signal strength only falls with distance, so the
 hidden-node predicate is a threshold on distance: ``is_hidden`` holds exactly
 when the distance is at least ``hidden_range_m``, a float found once per run
-by bisection over the curve. The scheduler, the busy-percent metric and the
-run invariants compare distances against it; ``is_hidden`` keeps evaluating
-the curve, for shadowed models and for the reference replay.
+by bisection over the curve. ``hidden_predicate`` is the one place that picks
+between that threshold and the curve; the scheduler, the busy-percent metric
+and the run invariants all ask it. ``is_hidden`` keeps evaluating the curve,
+for the reference replay.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -210,6 +211,16 @@ def hidden_range_m(radio: RadioConfig, model: PathLossModel) -> Optional[float]:
         else:
             lo = mid
     return _double(hi)
+
+
+def hidden_predicate(radio: RadioConfig, model: PathLossModel) -> Callable[[float], bool]:
+    """``is_hidden`` on a distance: a threshold on ``hidden_range_m`` for a
+    shadow-free model, the curve for a shadowed one. Built once per run."""
+    d_star = hidden_range_m(radio, model)
+    if d_star is None:
+        cs = radio.cs_threshold_dbm
+        return lambda d: rss_dbm(radio, model, d) < cs
+    return lambda d: d >= d_star
 
 
 def resolve_capture(radio: RadioConfig, arrivals: Sequence[tuple[object, float]]):

@@ -22,11 +22,12 @@ margin over the runner-up.
 
 Everything the loop needs that does not change during a run is worked out
 once before it starts: the timing sums, the fixed propagation delay, the
-hidden range of a shadow-free channel (``channel.hidden_range_m``), the
-position of every vehicle at each of its beacon instants
-(``Scenario.beacon_positions``, shared with the packet-error metric), and
-the host vehicle's position when it never moves
-(``MobilityTrace.fixed_position``).
+hidden test on distance (``channel.hidden_predicate``, shared with the run
+invariants and the busy-percent metric) and the position of every vehicle
+at each of its beacon instants (``Scenario.beacon_positions``, shared with
+the packet-error metric). Beacon instants come from
+``MobilityTrace.beacon_time``, and ``position_at`` answers a parked host
+vehicle without interpolating.
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def init_queue(scenario: Scenario, params: MacParams,
     positions = scenario.beacon_positions
     heap = []
     for trace in traces:
-        gen = trace.gen_phase_s
+        gen = trace.beacon_time(0)
         if gen >= scenario.duration_s:
             continue
         vid = trace.vehicle_id
@@ -338,23 +339,19 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     rng = KeyedBackoffRng(scenario.seed, params.cw_min, params.cw_max)
     duration = scenario.duration_s
     hv_trace = scenario.hv_trace
-    hv_fixed = hv_trace.fixed_position
     traces = scenario.traces_by_id
     positions = scenario.beacon_positions
     tx = params.tx_interval_s
     aifs = params.aifs_s
     tx_aifs = tx + aifs
     fixed_pd = params.pd_s if params.pd_mode is PdMode.FIXED else None
-    # None for a shadowed channel, which asks the curve for every pair
-    hidden_range = chan.hidden_range_m(radio, model)
+    hidden_at = chan.hidden_predicate(radio, model)
     last_start = -math.inf
 
     def insert_successor(parent: Packet) -> None:
         trace = traces[parent.vehicle_id]
         seq = parent.seq + 1
-        # closed form, not accumulation: keeps gen times bit-identical to
-        # the vehicle's generation schedule, which indexes its positions
-        gen = trace.gen_phase_s + seq * (1.0 / trace.tx_rate_hz)
+        gen = trace.beacon_time(seq)
         if gen >= duration:
             return
         # a vehicle contends for one packet at a time: the follow-up may not
@@ -393,12 +390,9 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
             diff = head.sched_time_s - start
             if diff > tx:
                 hidden = False
-            elif hidden_range is None:
-                hidden = chan.is_hidden(radio, model, current.tx_position,
-                                        head.tx_position)
             else:
                 hx, hy = head.tx_position
-                hidden = math.hypot(cx - hx, cy - hy) >= hidden_range
+                hidden = hidden_at(math.hypot(cx - hx, cy - hy))
             pd = fixed_pd if fixed_pd is not None else params.pd_for(current, head)
             state = overlap_band(diff, hidden, pd, tx, tx_aifs)
             if state is _POST_TX:
@@ -419,8 +413,8 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 continue
             heapq.heappush(heap, (head.sched_time_s, head.vehicle_id, head.seq, head))
 
-        hv_pos = hv_fixed if hv_fixed is not None else position_at(hv_trace, start)
-        event = resolve_transmission(current, overlap, model, radio, hv_pos)
+        event = resolve_transmission(current, overlap, model, radio,
+                                     position_at(hv_trace, start))
         stats.events += 1
         if event.outcome is Outcome.DECODED:
             stats.packets_decoded += 1
@@ -463,17 +457,15 @@ def verify_run_invariants(events: list[TxEvent], stats: RunStats,
             f"below={stats.packets_below_sensitivity} "
             f"expired={stats.packets_expired} queued={stats.packets_queued_at_end}")
     aifs = params.aifs_s
-    hidden_range = chan.hidden_range_m(radio, model)
+    hidden_at = chan.hidden_predicate(radio, model)
     for prev, cur in zip(events, events[1:]):
         if cur.start_s < prev.start_s:
             raise SchedulingError("event log is not time-ordered")
         gap = cur.start_s - prev.end_s
         if gap >= aifs - 1e-12:
             continue
-        a, b = prev.transmitter.tx_position, cur.transmitter.tx_position
-        hidden = (chan.is_hidden(radio, model, a, b) if hidden_range is None
-                  else chan.distance_m(a, b) >= hidden_range)
-        if not hidden:
+        if not hidden_at(chan.distance_m(prev.transmitter.tx_position,
+                                         cur.transmitter.tx_position)):
             raise SchedulingError(
                 f"idle-gap breach: events at {prev.start_s:.6f}s and "
                 f"{cur.start_s:.6f}s are {gap*1e6:.2f}us apart")

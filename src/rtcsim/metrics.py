@@ -112,12 +112,10 @@ def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
     """
     duration = scenario.duration_s
     n_windows = cbp_window_count(duration, window_s)
-    hidden_range = chan.hidden_range_m(radio, model)
+    hidden_at = chan.hidden_predicate(radio, model)
     busy = []
     for ev in events:
-        d = ev.hv_distance_m
-        if (chan.rss_dbm(radio, model, d) < radio.cs_threshold_dbm
-                if hidden_range is None else d >= hidden_range):
+        if hidden_at(ev.hv_distance_m):
             continue
         lo = ev.start_s
         hi = min(ev.end_s, duration)
@@ -169,13 +167,9 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
         if vid == hv_id:
             continue
         positions = scenario.beacon_positions[vid]
-        if hv_fixed is not None:
-            hv_at = repeat(hv_fixed)
-        else:
-            # the generation schedule's closed form gives each beacon's instant
-            phase, period = trace.gen_phase_s, 1.0 / trace.tx_rate_hz
-            hv_at = (position_at(hv_trace, phase + seq * period)
-                     for seq in range(len(positions)))
+        hv_at = (repeat(hv_fixed) if hv_fixed is not None
+                 else (position_at(hv_trace, trace.beacon_time(seq))
+                       for seq in range(len(positions))))
         for seq, (pos, hv_pos) in enumerate(zip(positions, hv_at)):
             d = chan.distance_m(pos, hv_pos)
             if d >= max_distance_m:

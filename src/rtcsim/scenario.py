@@ -115,12 +115,16 @@ class MobilityTrace:
     def _times(self) -> list[float]:
         return [w.time_s for w in self.waypoints]
 
+    def beacon_time(self, seq: int) -> float:
+        """Generation instant of beacon ``seq``: ``phase + seq/rate``, never accumulated."""
+        return self.gen_phase_s + seq * (1.0 / self.tx_rate_hz)
+
     @cached_property
     def fixed_position(self) -> Optional[tuple[float, float]]:
         """The one position of a trace that never moves, else None.
 
-        ``position_at`` may return ``-0.0`` where this holds ``+0.0``; the
-        two give the same distance to any point.
+        ``position_at`` returns it as is; the beacon table may differ from it
+        in the sign of a zero, which gives the same distance to any point.
         """
         x, y = self.waypoints[0].x_m, self.waypoints[0].y_m
         if all(w.x_m == x and w.y_m == y for w in self.waypoints):
@@ -178,7 +182,13 @@ def _between(a: Waypoint, b: Waypoint, t: float) -> tuple[float, float]:
 
 
 def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
-    """Linearly interpolated position, clamped outside the covered interval."""
+    """Linearly interpolated position, clamped outside the covered interval.
+
+    A parked trace answers with its ``fixed_position``.
+    """
+    fixed = trace.fixed_position
+    if fixed is not None:
+        return fixed
     wps = trace.waypoints
     if t <= wps[0].time_s:
         return (wps[0].x_m, wps[0].y_m)
@@ -207,30 +217,25 @@ def _walk_positions(trace: MobilityTrace, times: list[float]) -> list[tuple[floa
     return out
 
 
-def sample_at(trace: MobilityTrace, t: float) -> Waypoint:
-    """Interpolated kinematic sample; heading is held from the earlier waypoint."""
-    x, y = position_at(trace, t)
+def speed_heading_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
+    """Interpolated speed and the heading held from the earlier waypoint."""
     wps = trace.waypoints
     i = bisect_right(trace._times, t)
     a = wps[max(i - 1, 0)]
-    speed = a.speed_mps
-    if t > wps[0].time_s and i < len(wps):
-        b = wps[i]
-        speed += (t - a.time_s) / (b.time_s - a.time_s) * (b.speed_mps - a.speed_mps)
-    return Waypoint(max(t, 0.0), x, y, speed, a.heading_rad)
+    if t <= wps[0].time_s or i == len(wps):
+        return a.speed_mps, a.heading_rad
+    b = wps[i]
+    f = (t - a.time_s) / (b.time_s - a.time_s)
+    return a.speed_mps + f * (b.speed_mps - a.speed_mps), a.heading_rad
 
 
 def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
-    """Beacon generation timestamps ``phase + k/rate`` within [0, duration)."""
-    period = 1.0 / trace.tx_rate_hz
+    """Beacon generation timestamps ``trace.beacon_time(k)`` within [0, duration)."""
     out = []
-    k = 0
-    while True:
-        t = trace.gen_phase_s + k * period
-        if t >= duration_s:
-            break
+    t = trace.beacon_time(0)
+    while t < duration_s:
         out.append(t)
-        k += 1
+        t = trace.beacon_time(len(out))
     return out
 
 
@@ -242,13 +247,7 @@ def _sample_times(duration_s: float) -> list[float]:
     return times
 
 
-def _static_trace(vehicle_id: int, pos: tuple[float, float], duration_s: float,
-                  tx_rate_hz: float, gen_phase_s: float) -> MobilityTrace:
-    wps = tuple(Waypoint(t, pos[0], pos[1], 0.0, 0.0) for t in _sample_times(duration_s))
-    return MobilityTrace(vehicle_id, wps, tx_rate_hz, gen_phase_s)
-
-
-def _disk_trace(vehicle_id, rng, radius_m, speed_mps, duration_s, rate, phase):
+def _disk_waypoints(rng, radius_m, speed_mps, duration_s) -> list[Waypoint]:
     # uniform over the disk area, then constant-speed circular motion about
     # the center; the 1 m clamp keeps the angular rate finite near the middle
     r = radius_m * math.sqrt(rng.uniform(0.0, 1.0))
@@ -260,7 +259,7 @@ def _disk_trace(vehicle_id, rng, radius_m, speed_mps, duration_s, rate, phase):
         heading = (theta + 0.5 * math.pi) % TWO_PI
         wps.append(Waypoint(t, r * math.cos(theta), r * math.sin(theta),
                             omega * r, heading))
-    return MobilityTrace(vehicle_id, tuple(wps), rate, phase)
+    return wps
 
 
 def _segment_position(s0: float, direction: int, speed: float, t: float,
@@ -276,7 +275,7 @@ def _segment_position(s0: float, direction: int, speed: float, t: float,
     return lo + 2.0 * span - m, -1.0
 
 
-def _road_trace(vehicle_id, rng, lo, hi, axis, speed_mps, duration_s, rate, phase):
+def _road_waypoints(rng, lo, hi, axis, speed_mps, duration_s) -> list[Waypoint]:
     # axis 0: road along x at y=0; axis 1: road along y at x=0
     s0 = rng.uniform(lo, hi)
     direction = 1 if rng.integers(0, 2) == 1 else -1
@@ -291,7 +290,7 @@ def _road_trace(vehicle_id, rng, lo, hi, axis, speed_mps, duration_s, rate, phas
             pos = (0.0, s)
             heading = 0.5 * math.pi if travel >= 0 else 1.5 * math.pi
         wps.append(Waypoint(t, pos[0], pos[1], speed_mps, heading))
-    return MobilityTrace(vehicle_id, tuple(wps), rate, phase)
+    return wps
 
 
 def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
@@ -315,24 +314,22 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
 
     hv_pos = spec.hv_position if spec.hv_position is not None else (0.0, 0.0)
     hv_phase = rng.uniform(0.0, period)
-    hv = _static_trace(0, hv_pos, duration_s, tx_rate_hz, hv_phase)
+    hv = MobilityTrace(0, tuple(Waypoint(t, hv_pos[0], hv_pos[1], 0.0, 0.0)
+                                for t in _sample_times(duration_s)), tx_rate_hz, hv_phase)
 
     rvs = []
     for vid in range(1, spec.vehicle_count):
         if spec.kind is Topology.DISK:
-            trace = _disk_trace(vid, rng, spec.radius_m, speed_mps, duration_s,
-                                tx_rate_hz, 0.0)
+            wps = _disk_waypoints(rng, spec.radius_m, speed_mps, duration_s)
         elif spec.kind is Topology.LINEAR:
             half = spec.length_m / 2.0
-            trace = _road_trace(vid, rng, -half, half, 0, speed_mps, duration_s,
-                                tx_rate_hz, 0.0)
+            wps = _road_waypoints(rng, -half, half, 0, speed_mps, duration_s)
         else:
             axis = int(rng.integers(0, 2))
             a = spec.arm_length_m
-            trace = _road_trace(vid, rng, -a, a, axis, speed_mps, duration_s,
-                                tx_rate_hz, 0.0)
+            wps = _road_waypoints(rng, -a, a, axis, speed_mps, duration_s)
         phase = rng.uniform(0.0, period)
-        rvs.append(MobilityTrace(trace.vehicle_id, trace.waypoints, tx_rate_hz, phase))
+        rvs.append(MobilityTrace(vid, tuple(wps), tx_rate_hz, phase))
     return Scenario(hv_trace=hv, rv_traces=tuple(rvs), duration_s=duration_s,
                     seed=seed)
 

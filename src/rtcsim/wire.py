@@ -19,7 +19,7 @@ from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import ValidationError
 from .mac import TxEvent
-from .scenario import Scenario, position_at, sample_at
+from .scenario import Scenario, position_at, speed_heading_at
 
 BSM_MAGIC = 0x42534D31
 _BSM_STRUCT = struct.Struct("<IIIdddfff")
@@ -61,8 +61,8 @@ def event_to_record(event: TxEvent, scenario: Scenario, model: PathLossModel,
     winner = event.winner
     if winner is None:
         raise ValidationError("only decoded events can be emitted")
-    trace = scenario.traces_by_id[winner.vehicle_id]
-    kin = sample_at(trace, winner.gen_time_s)
+    speed, heading = speed_heading_at(scenario.traces_by_id[winner.vehicle_id],
+                                      winner.gen_time_s)
     hv_pos = position_at(scenario.hv_trace, event.start_s)
     rss = chan.rss_dbm(radio, model,
                        chan.distance_m(winner.tx_position, hv_pos))
@@ -72,8 +72,8 @@ def event_to_record(event: TxEvent, scenario: Scenario, model: PathLossModel,
         gen_time_s=winner.gen_time_s,
         x_m=winner.tx_position[0],
         y_m=winner.tx_position[1],
-        speed_mps=kin.speed_mps,
-        heading_rad=kin.heading_rad,
+        speed_mps=speed,
+        heading_rad=heading,
         rss_dbm=rss,
     )
 

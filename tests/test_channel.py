@@ -9,8 +9,9 @@ import pytest
 
 from rtcsim.channel import (SHADOWING_QUANTUM_M, PathLossModel, RadioConfig,
                             _shadow_draw, default_fowlerville,
-                            default_three_log_distance, hidden_range_m,
-                            is_hidden, path_loss_db, resolve_capture, rss_dbm)
+                            default_three_log_distance, hidden_predicate,
+                            hidden_range_m, is_hidden, path_loss_db,
+                            resolve_capture, rss_dbm)
 from rtcsim.errors import ValidationError
 
 
@@ -211,17 +212,30 @@ class TestHidden:
 
 class TestHiddenRange:
     def curve_agrees(self, radio, model, distances):
+        """The threshold, where the model has one, and the run's predicate
+        both answer as the curve does."""
         d_star = hidden_range_m(radio, model)
+        hidden = hidden_predicate(radio, model)
         for d in distances:
             curve = rss_dbm(radio, model, d) < radio.cs_threshold_dbm
-            assert (d >= d_star) == curve, (d, d_star)
+            if d_star is not None:
+                assert (d >= d_star) == curve, (d, d_star)
+            assert hidden(d) == curve, d
 
     def test_default_profile(self):
         assert hidden_range_m(RadioConfig(), default_three_log_distance()) \
             == 835.9002815595785
 
-    @pytest.mark.parametrize("seed", [None, 1, 3, 5, 8, 11])
+    @pytest.mark.parametrize("seed", [None, 1, 3, 5, 8, 11, "fowlerville"])
     def test_threshold_equals_curve_predicate(self, seed):
+        if seed == "fowlerville":
+            # shadowed: no threshold, the predicate must be the curve itself
+            radio, model = RadioConfig(), default_fowlerville()
+            rng = random.Random(0)
+            distances = [d for q in range(2000) for d in ulp_neighbours(float(q), 2)]
+            distances += [rng.uniform(0.0, 2000.0) for _ in range(20_000)]
+            self.curve_agrees(radio, model, distances)
+            return
         if seed is None:
             radio, model = RadioConfig(), default_three_log_distance()
         else:

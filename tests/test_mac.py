@@ -17,6 +17,7 @@ from rtcsim.metrics import (compute_cbp, compute_per, write_cbp_csv,
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology, load_scenario,
                              save_scenario)
+from rtcsim.wire import event_to_record, pack_bsm
 
 MODEL = default_three_log_distance()
 RADIO = RadioConfig()
@@ -334,6 +335,7 @@ class TestGoldenEventLog:
     log in these configurations fails here. The CBP and PER of each run must
     also come out the same when the shadow-free and parked-host shortcuts
     are switched off, and a run with a moving HV is pinned with its metrics.
+    The datagrams the wire would send for the decoded events are pinned too.
     """
 
     CASES = {
@@ -391,18 +393,24 @@ class TestGoldenEventLog:
         assert (cbp.samples, cbp.average) == (fast[1].samples, fast[1].average)
         assert (per.bins, per.average) == (fast[2].bins, fast[2].average)
 
-    def test_moving_host_vehicle(self, tmp_path):
-        """A saved scenario whose HV drives across the disk on uneven legs."""
-        base = self.golden_scenario()
+    @classmethod
+    def moving_host_scenario(cls, directory):
+        """The golden scenario, saved and reloaded with an HV that drives
+        across the disk on uneven legs."""
+        base = cls.golden_scenario()
         hv = MobilityTrace(0, (Waypoint(0.0, -300.0, -50.0, 200.0, 0.2),
                                Waypoint(0.7, -160.0, -20.0, 200.0, 0.2),
                                Waypoint(1.3, -40.0, 0.0, 200.0, 0.0),
                                Waypoint(2.2, 140.0, 30.0, 200.0, 0.2),
                                Waypoint(3.0, 300.0, 80.0, 200.0, 0.3)),
                            base.hv_trace.tx_rate_hz, base.hv_trace.gen_phase_s)
-        save_scenario(Scenario(hv, base.rv_traces, base.duration_s, base.seed), tmp_path)
-        sc = load_scenario(tmp_path)
+        save_scenario(Scenario(hv, base.rv_traces, base.duration_s, base.seed), directory)
+        sc = load_scenario(directory)
         assert sc.hv_trace.fixed_position is None
+        return sc
+
+    def test_moving_host_vehicle(self, tmp_path):
+        sc = self.moving_host_scenario(tmp_path)
         rows, cbp, per = self.outputs(sc, default_three_log_distance(), MacParams(), True)
         write_cbp_csv(cbp, tmp_path / "cbp.csv")
         write_per_csv(per, tmp_path / "per.csv")
@@ -413,3 +421,21 @@ class TestGoldenEventLog:
             "b34937b13b115bfa0b518560829852872cedbe8b8d0b5daee7bfab67d766fbef",
             "8b92ca6b5a8087b8f1f6c59a72096544bea766d6b2521cd7e3788b3cfdd196df",
             "bb62deb6963a87b271efae0e2d518767bfc117792a202a204346cfd15eb25925"]
+
+    @pytest.mark.parametrize("case,model,decoded,expected", [
+        ("three_log_distance", default_three_log_distance(), 3312,
+         "686a20fc2b1b5656b8b648616807a3a37ba6ae9ea145bee2b14f1ad4c6607516"),
+        ("fowlerville", default_fowlerville(), 2524,
+         "9b0fae849c87bdbf98d80c565bb3b2780b1e81b7463e16f5ad60cad07f257fc9"),
+        ("moving_host", default_three_log_distance(), 3385,
+         "3f05e3d894dadf9b75758702024fdade4df421ac66d40a4f8e7773ac61072193"),
+    ])
+    def test_datagrams(self, case, model, decoded, expected, tmp_path):
+        """Every field of every datagram: position, speed, heading and RSS."""
+        sc = (self.moving_host_scenario(tmp_path) if case == "moving_host"
+              else self.golden_scenario())
+        events, _ = run(sc, model, RADIO, MacParams())
+        datagrams = [pack_bsm(event_to_record(ev, sc, model, RADIO))
+                     for ev in events if ev.outcome is Outcome.DECODED]
+        assert len(datagrams) == decoded
+        assert hashlib.sha256(b"".join(datagrams)).hexdigest() == expected

@@ -14,7 +14,7 @@ from rtcsim.errors import TraceParseError, ValidationError
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              Waypoint, generate_topology, generation_schedule,
                              load_scenario, parse_trace_file, position_at,
-                             save_scenario, write_trace_files)
+                             save_scenario, speed_heading_at, write_trace_files)
 
 
 def disk_spec(n, radius=500.0):
@@ -132,6 +132,17 @@ class TestPositionAt:
         assert position_at(trace, 99.0) == (10.0, 0.0)
 
 
+class TestSpeedHeadingAt:
+    TRACE = MobilityTrace(1, (Waypoint(1.0, 0, 0, 4.0, 0.5), Waypoint(2.0, 3, 0, 8.0, 1.5),
+                              Waypoint(4.0, 3, 9, 2.0, 2.5)))
+
+    @pytest.mark.parametrize("t,expected", [
+        (0.0, (4.0, 0.5)), (1.0, (4.0, 0.5)), (1.25, (5.0, 0.5)), (2.0, (8.0, 1.5)),
+        (3.5, (3.5, 1.5)), (4.0, (2.0, 2.5)), (9.0, (2.0, 2.5))])
+    def test_speed_interpolates_and_heading_holds(self, t, expected):
+        assert speed_heading_at(self.TRACE, t) == expected
+
+
 class TestFixedPosition:
     def test_static_trace_is_parked_at_its_waypoint(self):
         wps = tuple(Waypoint(t, 4.0, -3.0, 0.0, 0.0) for t in (0.0, 0.5, 2.0))
@@ -176,6 +187,9 @@ class TestBeaconPositions:
             got = sc.beacon_positions[trace.vehicle_id]
             assert got == expected
             assert repr(got) == repr(expected)  # signed zeros too
+            gens = generation_schedule(trace, duration_s)
+            assert [trace.beacon_time(k) for k in range(len(gens))] == gens
+            assert trace.beacon_time(len(gens)) >= duration_s
 
     def test_single_waypoint(self):
         self.assert_table_matches(
@@ -375,6 +389,24 @@ class TestManifestValues:
                               "--out", str(tmp_path / "out"))
         assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+    def test_negative_zero_phase_logs_the_scheduled_instant(self, tmp_path):
+        # -0.0 lies in [0, period); the first beacon is logged at 0.0, the
+        # instant the generation schedule lists
+        save_edited_manifest(tmp_path)
+        path = tmp_path / "scenario.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["vehicles"][0]["id"] == manifest["hv_id"]
+        manifest["vehicles"][0]["gen_phase_s"] = -0.0
+        path.write_text(json.dumps(manifest))
+        hv = load_scenario(tmp_path).hv_trace
+        assert repr(hv.gen_phase_s) == "-0.0"
+        assert repr(generation_schedule(hv, 1.0)[0]) == "0.0"
+        assert cli_main(["run", "--trace-dir", str(tmp_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "event_log.csv").read_text().splitlines()
+        assert rows[1].startswith("0.0,0.00052,0,")
 
 
 class TestManifestFiles:
