@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -30,22 +28,22 @@ EXIT_REALTIME = 3
 EXIT_INVARIANT = 4
 EXIT_IO = 5
 
-log = logging.getLogger("rtcsim")
 
+class _TraceDir(argparse.Action):
+    """``--trace-dir``: sets scenario.trace_dir and scenario.topology = traces."""
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("RTCSIM_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, "scenario.topology", "traces")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag that sets a config entry has the entry's ``section.key`` as dest."""
     parser = argparse.ArgumentParser(
         prog="rtcsim",
         description="Real-time DSRC vehicle-to-vehicle broadcast channel emulator",
         epilog="Exit codes: 0 ok, 2 config error, 3 realtime violation, "
-               "4 invariant breach, 5 I/O failure. "
-               "Set RTCSIM_LOG=DEBUG|INFO|WARNING for diagnostics.")
+               "4 invariant breach, 5 I/O failure.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -53,34 +51,43 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override one config entry (repeatable)")
-    common.add_argument("--seed", type=int, help="shorthand for --set run.seed=...")
-    common.add_argument("--out", help="shorthand for --set run.out=...")
+    common.add_argument("--seed", dest="run.seed", type=int,
+                        help="shorthand for --set run.seed=...")
+    common.add_argument("--out", dest="run.out", help="shorthand for --set run.out=...")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective config document and exit")
 
     p_gen = sub.add_parser("gen", parents=[common],
                            help="generate scenario trace files and manifest")
-    p_gen.add_argument("--topology", choices=["disk", "linear", "intersection"])
-    p_gen.add_argument("--radius", type=float, help="disk radius in meters")
-    p_gen.add_argument("--length", type=float, help="linear road length in meters")
-    p_gen.add_argument("--arm-length", type=float,
+    p_gen.add_argument("--topology", dest="scenario.topology",
+                       choices=["disk", "linear", "intersection"])
+    p_gen.add_argument("--radius", dest="scenario.radius_m", type=float,
+                       help="disk radius in meters")
+    p_gen.add_argument("--length", dest="scenario.length_m", type=float,
+                       help="linear road length in meters")
+    p_gen.add_argument("--arm-length", dest="scenario.arm_length_m", type=float,
                        help="intersection arm length in meters")
-    p_gen.add_argument("--vehicles", type=int, help="vehicle count including the HV")
-    p_gen.add_argument("--speed", type=float, help="RV speed in m/s")
-    p_gen.add_argument("--duration", type=float, help="covered time span in seconds")
+    p_gen.add_argument("--vehicles", dest="scenario.vehicles", type=int,
+                       help="vehicle count including the HV")
+    p_gen.add_argument("--speed", dest="scenario.speed_mps", type=float,
+                       help="RV speed in m/s")
+    p_gen.add_argument("--duration", dest="run.duration_s", type=float,
+                       help="covered time span in seconds")
 
     p_run = sub.add_parser("run", parents=[common],
                            help="execute a scenario and write the report files")
-    p_run.add_argument("--mode", choices=["batch", "realtime"])
-    p_run.add_argument("--emit-udp", metavar="HOST:PORT",
+    p_run.add_argument("--mode", dest="run.mode", choices=["batch", "realtime"])
+    p_run.add_argument("--emit-udp", dest="run.emit_udp", metavar="HOST:PORT",
                        help="deliver decoded packets as UDP datagrams")
-    p_run.add_argument("--null-sink", action="store_true",
-                       help="realtime mode without any delivery target")
-    p_run.add_argument("--trace-dir", help="run a saved scenario instead of generating")
+    p_run.add_argument("--null-sink", dest="run.null_sink", action="store_const",
+                       const="true", help="realtime mode without any delivery target")
+    p_run.add_argument("--trace-dir", dest="scenario.trace_dir", action=_TraceDir,
+                       help="run a saved scenario instead of generating")
 
     p_rss = sub.add_parser("rss", parents=[common],
                            help="tabulate the signal-strength curve")
-    p_rss.add_argument("--profile", help="channel profile name")
+    p_rss.add_argument("--profile", dest="run.channel_profile",
+                       help="channel profile name")
     p_rss.add_argument("--d-min", type=float, default=1.0)
     p_rss.add_argument("--d-max", type=float, default=1000.0)
     p_rss.add_argument("--step", type=float, default=1.0)
@@ -92,56 +99,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args) -> tuple[RunConfig, str]:
-    overrides = list(args.overrides)
-    if getattr(args, "seed", None) is not None:
-        overrides.append(f"run.seed={args.seed}")
-    if getattr(args, "out", None) is not None:
-        overrides.append(f"run.out={args.out}")
-    for attr, key in (("topology", "scenario.topology"),
-                      ("radius", "scenario.radius_m"),
-                      ("length", "scenario.length_m"),
-                      ("arm_length", "scenario.arm_length_m"),
-                      ("vehicles", "scenario.vehicles"),
-                      ("speed", "scenario.speed_mps"),
-                      ("duration", "run.duration_s"),
-                      ("mode", "run.mode"),
-                      ("emit_udp", "run.emit_udp"),
-                      ("trace_dir", "scenario.trace_dir")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    if getattr(args, "trace_dir", None):
-        overrides.append("scenario.topology=traces")
-    if getattr(args, "null_sink", False):
-        overrides.append("run.null_sink=true")
-    parser = read_config_document(args.config, overrides)
-    return build_run_config(parser), dump_config(parser)
-
-
 def _materialize_scenario(cfg: RunConfig) -> Scenario:
     if cfg.trace_dir is not None:
-        log.info("loading scenario from %s", cfg.trace_dir)
         return load_scenario(cfg.trace_dir)
-    log.info("generating %s scenario with %d vehicles (seed %d)",
-             cfg.topology_spec.kind.value, cfg.topology_spec.vehicle_count, cfg.seed)
     return generate_topology(cfg.topology_spec, cfg.speed_mps, cfg.duration_s,
                              cfg.seed, tx_rate_hz=cfg.tx_rate_hz)
 
 
-def cmd_gen(args) -> int:
-    cfg, text = _effective_config(args)
-    if args.dump_config:
-        print(text, end="")
-        return EXIT_OK
+def cmd_gen(args, cfg: RunConfig) -> int:
     if cfg.topology_spec is None:
         raise ConfigError("gen needs a synthetic topology, not trace_dir input")
     scenario = _materialize_scenario(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = save_scenario(scenario, cfg.out_dir)
+    save_scenario(scenario, cfg.out_dir)
     print(f"wrote {scenario.vehicle_count} trace files + manifest to {cfg.out_dir} "
           f"(topology={cfg.topology_spec.kind.value}, seed={scenario.seed})")
-    log.debug("manifest at %s", manifest)
     return EXIT_OK
 
 
@@ -154,16 +126,15 @@ def _run_label(cfg: RunConfig, scenario: Scenario) -> tuple[str, str]:
     return label, topology
 
 
-def cmd_run(args) -> int:
-    cfg, text = _effective_config(args)
-    if args.dump_config:
-        print(text, end="")
-        return EXIT_OK
-    scenario = _materialize_scenario(cfg)
+def cmd_run(args, cfg: RunConfig) -> int:
     model = cfg.model
-    # refuse metric series past the size limit before the run, not after it
-    metrics.cbp_window_count(scenario.duration_s, cfg.cbp_window_s)
+    # refuse metric series past the size limit before generating, where the
+    # duration is already known, and before the run
     metrics.per_bin_count(cfg.per_max_distance_m, cfg.per_bin_m)
+    if cfg.trace_dir is None:
+        metrics.cbp_window_count(cfg.duration_s, cfg.cbp_window_s)
+    scenario = _materialize_scenario(cfg)
+    metrics.cbp_window_count(scenario.duration_s, cfg.cbp_window_s)
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
@@ -216,16 +187,8 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_rss(args) -> int:
-    cfg, text = _effective_config(args)
-    if args.dump_config:
-        print(text, end="")
-        return EXIT_OK
-    profile = args.profile or cfg.channel_profile
-    if profile not in cfg.models:
-        raise ConfigError(f"channel profile '{profile}' is not defined")
-    points = metrics.rss_curve(cfg.radio, cfg.models[profile],
-                               args.d_min, args.d_max, args.step)
+def cmd_rss(args, cfg: RunConfig) -> int:
+    points = metrics.rss_curve(cfg.radio, cfg.model, args.d_min, args.d_max, args.step)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "rss.csv"
     metrics.write_rss_csv(points, path)
@@ -264,19 +227,27 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _configured(args) -> int:
+    """Build the config from defaults, --config, --set and the flags, in rising
+    precedence, then dump it or hand it to the subcommand."""
+    flags = [f"{key}={value}" for key, value in vars(args).items()
+             if "." in key and value is not None]
+    parser = read_config_document(args.config, args.overrides + flags)
+    cfg = build_run_config(parser)
+    if args.dump_config:
+        print(dump_config(parser), end="")
+        return EXIT_OK
+    return {"gen": cmd_gen, "run": cmd_run, "rss": cmd_rss}[args.command](args, cfg)
+
+
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"gen": cmd_gen, "run": cmd_run, "rss": cmd_rss, "report": cmd_report}
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return cmd_report(args) if args.command == "report" else _configured(args)
     except RealtimeViolationError as exc:
-        log.error("real-time violation: %s", exc)
         print(f"error: real-time violation: {exc}", file=sys.stderr)
         return EXIT_REALTIME
     except SchedulingError as exc:
-        log.error("invariant breach: %s", exc)
         print(f"error: invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ConfigError, TraceParseError, ValidationError) as exc:

@@ -38,7 +38,6 @@ class RunConfig:
     out_dir: Path
     channel_profile: str
     emit_udp: Optional[tuple[str, int]]
-    null_sink: bool
     hv_transmits: bool
     radio: RadioConfig
     mac: MacParams
@@ -252,7 +251,6 @@ def build_run_config(parser: configparser.ConfigParser) -> RunConfig:
         out_dir=Path(run["out"] or "out"),
         channel_profile=run["channel_profile"],
         emit_udp=emit_udp,
-        null_sink=run["null_sink"],
         hv_transmits=run["hv_transmits"],
         radio=RadioConfig(**values["radio"]),
         mac=MacParams(**mac_fields),

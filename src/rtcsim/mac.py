@@ -358,11 +358,11 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         # hit the air before the previous one has left it plus the idle gap
         floor = parent.sched_time_s + tx + aifs
         sched = gen if gen > floor else floor
+        stats.packets_generated += 1
         if sched >= duration:
             stats.packets_expired += 1
             return
         vid = trace.vehicle_id
-        stats.packets_generated += 1
         heapq.heappush(heap, (sched, vid, seq,
                               Packet(vid, seq, gen, sched, tx, positions[vid][seq])))
 

@@ -8,7 +8,7 @@ per-run summary table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -202,7 +202,9 @@ def rss_curve(radio: RadioConfig, model: PathLossModel, d_min_m: float,
 
 
 @dataclass
-class SummaryRow:
+class SimReport:
+    """One finished run's summary row; ``rtcsim report`` merges their CSV text."""
+
     label: str
     topology: str
     vehicles: int
@@ -214,26 +216,19 @@ class SummaryRow:
     stats: RunStats
     note: str = ""
 
-
-@dataclass
-class SimReport:
-    rows: list[SummaryRow] = field(default_factory=list)
-
     def to_text(self) -> str:
         header = (f"{'label':<18} {'topology':<12} {'veh':>5} {'channel':<18} "
                   f"{'CBP%':>7} {'PER%':>7} {'events':>8} {'wall_s':>8} "
                   f"{'speedup':>8}  note")
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            cbp = f"{100.0 * r.avg_cbp:.2f}" if r.avg_cbp is not None else "-"
-            per = f"{100.0 * r.avg_per:.2f}" if r.avg_per is not None else "-"
-            speed = r.stats.speedup
-            flag = " (real-time capable)" if speed > 1.0 else ""
-            lines.append(
-                f"{r.label:<18} {r.topology:<12} {r.vehicles:>5} {r.channel:<18} "
-                f"{cbp:>7} {per:>7} {r.stats.events:>8} "
-                f"{r.stats.wall_time_s:>8.3f} {speed:>8.2f}  {r.note}{flag}")
-        return "\n".join(lines)
+        cbp = f"{100.0 * self.avg_cbp:.2f}" if self.avg_cbp is not None else "-"
+        per = f"{100.0 * self.avg_per:.2f}" if self.avg_per is not None else "-"
+        speed = self.stats.speedup
+        flag = " (real-time capable)" if speed > 1.0 else ""
+        return "\n".join([
+            header, "-" * len(header),
+            f"{self.label:<18} {self.topology:<12} {self.vehicles:>5} {self.channel:<18} "
+            f"{cbp:>7} {per:>7} {self.stats.events:>8} "
+            f"{self.stats.wall_time_s:>8.3f} {speed:>8.2f}  {self.note}{flag}"])
 
     # deterministic columns only: wall-clock figures live in stats.json
     CSV_HEADER = ("label,topology,vehicles,channel,seed,duration_s,avg_cbp,"
@@ -241,31 +236,28 @@ class SimReport:
                   "expired,queued_at_end,events,note")
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            cbp = "" if r.avg_cbp is None else repr(r.avg_cbp)
-            per = "" if r.avg_per is None else repr(r.avg_per)
-            s = r.stats
-            lines.append(
-                f"{r.label},{r.topology},{r.vehicles},{r.channel},{r.seed},"
-                f"{r.duration_s!r},{cbp},{per},{s.packets_generated},"
+        cbp = "" if self.avg_cbp is None else repr(self.avg_cbp)
+        per = "" if self.avg_per is None else repr(self.avg_per)
+        s = self.stats
+        return (f"{self.CSV_HEADER}\n"
+                f"{self.label},{self.topology},{self.vehicles},{self.channel},{self.seed},"
+                f"{self.duration_s!r},{cbp},{per},{s.packets_generated},"
                 f"{s.packets_decoded},{s.packets_collided},"
                 f"{s.packets_below_sensitivity},{s.packets_expired},"
-                f"{s.packets_queued_at_end},{s.events},{r.note}")
-        return "\n".join(lines) + "\n"
+                f"{s.packets_queued_at_end},{s.events},{self.note}\n")
 
 
 def summarize(events: Sequence[TxEvent], cbp: CbpSeries, per: PerHistogram,
               stats: RunStats, *, label: str = "run", topology: str = "custom",
               vehicles: int = 0, channel: str = "custom", seed: int = 0,
               duration_s: Optional[float] = None) -> SimReport:
-    """One-row report for a finished run; ``rtcsim report`` merges their CSVs."""
+    """The report of a finished run."""
     if duration_s is None:
         duration_s = stats.sim_duration_s
     traffic = stats.events > 0
-    return SimReport([SummaryRow(label, topology, vehicles, channel, seed, duration_s,
-                                 cbp.average if traffic else 0.0, per.average,
-                                 stats, "" if traffic else "no traffic")])
+    return SimReport(label, topology, vehicles, channel, seed, duration_s,
+                     cbp.average if traffic else 0.0, per.average,
+                     stats, "" if traffic else "no traffic")
 
 
 def write_cbp_csv(cbp: CbpSeries, path) -> None:

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import TraceParseError, ValidationError
 
 TWO_PI = 2.0 * math.pi
+_INF = math.inf
 
 # Generated traces are sampled at the beacon cadence; position queries
 # between samples interpolate linearly.
@@ -31,6 +32,12 @@ WAYPOINT_PERIOD_S = 0.1
 
 # Safety-beacon rate of every vehicle unless a scenario sets its own.
 DEFAULT_TX_RATE_HZ = 10.0
+
+# Most beacons a run may generate (duration x the vehicles' summed rates; a
+# scenario still to be generated adds 1 / WAYPOINT_PERIOD_S waypoints per
+# vehicle-second). At ~350 bytes each, measured on a 1000-vehicle disk run,
+# the limit holds a run under 2 GB; a larger one is refused before it starts.
+MAX_RUN_BEACONS = 5_000_000
 
 TRACE_HEADER = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad"
 MANIFEST_NAME = "scenario.json"
@@ -79,12 +86,14 @@ class Waypoint:
     heading_rad: float
 
     def __post_init__(self):
-        if self.time_s < 0:
-            raise ValidationError("waypoint time must be >= 0")
-        if self.speed_mps < 0:
-            raise ValidationError("waypoint speed must be >= 0")
-        if not 0.0 <= self.heading_rad < TWO_PI:
-            raise ValidationError("heading must lie in [0, 2*pi)")
+        # chained comparisons are false for NaN and cheap: a generated run
+        # builds one waypoint per vehicle per WAYPOINT_PERIOD_S
+        if not (0.0 <= self.time_s < _INF and -_INF < self.x_m < _INF
+                and -_INF < self.y_m < _INF and 0.0 <= self.speed_mps < _INF
+                and 0.0 <= self.heading_rad < TWO_PI):
+            raise ValidationError(
+                f"a waypoint needs finite time_s >= 0, x_m, y_m and speed_mps >= 0, "
+                f"and heading_rad in [0, 2*pi); got {self}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +149,8 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValidationError(f"duration_s must be finite and positive, "
-                                  f"got {self.duration_s!r}")
-        # the backoff hash keys on 64 bits; a wider seed would alias another
-        if not 0 <= self.seed < 1 << 64:
-            raise ValidationError(f"seed must lie in [0, 2**64), got {self.seed}")
+        check_run(self.duration_s, self.seed,
+                  sum(t.tx_rate_hz for t in self.all_traces()))
         ids = [self.hv_trace.vehicle_id] + [t.vehicle_id for t in self.rv_traces]
         if len(set(ids)) != len(ids):
             raise ValidationError("vehicle ids must be unique within a scenario")
@@ -173,6 +178,19 @@ class Scenario:
         """
         return {t.vehicle_id: _walk_positions(t, generation_schedule(t, self.duration_s))
                 for t in self.all_traces()}
+
+
+def check_run(duration_s: float, seed: int, beacons_per_s: float) -> None:
+    """A Scenario's duration and seed rules, and MAX_RUN_BEACONS at ``beacons_per_s``."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValidationError(f"duration_s must be finite and positive, got {duration_s!r}")
+    # the backoff hash keys on 64 bits; a wider seed would alias another
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+    beacons = duration_s * beacons_per_s
+    if not beacons <= MAX_RUN_BEACONS:
+        raise ValidationError(f"a {duration_s!r} s run generates {beacons:.7g} beacons; "
+                              f"the limit is {MAX_RUN_BEACONS}")
 
 
 def _between(a: Waypoint, b: Waypoint, t: float) -> tuple[float, float]:
@@ -299,16 +317,12 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
 
     Deterministic for a fixed seed: per-vehicle draws happen in vehicle-id
     order (placement first, then the generation phase). The HV sits at the
-    geometry center unless ``spec`` pins an explicit position.
+    geometry center unless ``spec`` pins an explicit position. The scenario's
+    rules are checked before anything is allocated; the waypoints check speed.
     """
-    if speed_mps < 0:
-        raise ValidationError("speed_mps must be >= 0")
-    if duration_s <= 0:
-        raise ValidationError("duration_s must be positive")
-    if tx_rate_hz <= 0:
+    if not tx_rate_hz > 0:
         raise ValidationError("tx_rate_hz must be positive")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    check_run(duration_s, seed, spec.vehicle_count * (tx_rate_hz + 1.0 / WAYPOINT_PERIOD_S))
     rng = np.random.default_rng(seed)
     period = 1.0 / tx_rate_hz
 
@@ -357,30 +371,17 @@ def project_geodetic(lat_deg: float, lon_deg: float, ref_lat_deg: float,
 
 
 def _parse_row(parts: list[str], lineno: int, path: str | None):
+    """A row's vehicle id and Waypoint; Waypoint judges the values."""
     if len(parts) != 6:
         raise TraceParseError(f"expected 6 fields, got {len(parts)}", lineno, path)
     try:
-        t = float(parts[0])
         vid = int(parts[1])
-        x = float(parts[2])
-        y = float(parts[3])
-        speed = float(parts[4])
-        heading = float(parts[5])
+        return vid, Waypoint(float(parts[0]), float(parts[2]), float(parts[3]),
+                             float(parts[4]), float(parts[5]))
     except ValueError as exc:
         raise TraceParseError(f"unparsable field ({exc})", lineno, path) from None
-    for name, value in (("time_s", t), ("x_m", x), ("y_m", y),
-                        ("speed_mps", speed), ("heading_rad", heading)):
-        if not math.isfinite(value):
-            raise TraceParseError(f"non-finite {name} value", lineno, path)
-    if t < 0:
-        raise TraceParseError("time_s must be >= 0", lineno, path)
-    if vid < 0:
-        raise TraceParseError("vehicle_id must be >= 0", lineno, path)
-    if speed < 0:
-        raise TraceParseError("speed_mps must be >= 0", lineno, path)
-    if not 0.0 <= heading < TWO_PI:
-        raise TraceParseError("heading_rad must lie in [0, 2*pi)", lineno, path)
-    return vid, Waypoint(t, x, y, speed, heading)
+    except ValidationError as exc:
+        raise TraceParseError(str(exc), lineno, path) from None
 
 
 def parse_trace_file(source) -> list[MobilityTrace]:
@@ -390,6 +391,7 @@ def parse_trace_file(source) -> list[MobilityTrace]:
     optional; line numbers in errors are 1-based physical lines. Generation
     parameters are not part of the row format, so every trace carries the
     MobilityTrace defaults (the scenario manifest holds the real values).
+    MobilityTrace judges the sorted rows, so a repeated time raises its ValidationError.
     """
     path = None
     if hasattr(source, "read"):
@@ -411,10 +413,6 @@ def parse_trace_file(source) -> list[MobilityTrace]:
     traces = []
     for vid in sorted(per_vehicle):
         wps = sorted(per_vehicle[vid], key=lambda w: w.time_s)
-        for a, b in zip(wps, wps[1:]):
-            if b.time_s == a.time_s:
-                raise ValidationError(
-                    f"duplicate waypoint time {a.time_s} for vehicle {vid}")
         traces.append(MobilityTrace(vid, tuple(wps)))
     return traces
 

@@ -1,5 +1,6 @@
 """Command-line surface: gen/run/rss/report, config handling, exit codes."""
 
+import argparse
 import configparser
 import json
 
@@ -9,9 +10,9 @@ from conftest import slow_scheduler
 from rtcsim import metrics
 from rtcsim.channel import (RadioConfig, default_fowlerville,
                             default_three_log_distance)
-from rtcsim.cli import (EXIT_CONFIG, EXIT_OK, main)
-from rtcsim.config import (build_run_config, dump_config, parse_endpoint,
-                           read_config_document)
+from rtcsim.cli import EXIT_CONFIG, EXIT_OK, _build_parser, main
+from rtcsim.config import (_default_document, build_run_config, dump_config,
+                           parse_endpoint, read_config_document)
 from rtcsim.errors import ConfigError
 from rtcsim.mac import MacParams
 from rtcsim.metrics import rss_curve
@@ -193,6 +194,45 @@ class TestRun:
         assert stats["p99_delivery_lag_s"] is not None
 
 
+def _config_flags():
+    """(subcommand, action) of every flag that sets a config entry."""
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [(command, action) for command, sub in subparsers.choices.items()
+            for action in sub._actions if "." in action.dest]
+
+
+# a value unlike the default for each flag that takes text
+FLAG_TEXT = {"run.out": "elsewhere", "run.emit_udp": "127.0.0.1:4000",
+             "scenario.trace_dir": "saved", "run.channel_profile": "fowlerville",
+             "scenario.topology": "intersection", "run.mode": "realtime"}
+
+
+class TestConfigFlags:
+    def test_every_subcommand_has_flags(self):
+        assert {command for command, _ in _config_flags()} == {"gen", "run", "rss"}
+
+    @pytest.mark.parametrize("command,action", _config_flags(),
+                             ids=lambda v: v if isinstance(v, str) else v.option_strings[0])
+    def test_flag_sets_the_entry_its_dest_names(self, command, action, capsys):
+        section, key = action.dest.split(".")
+        assert key in _default_document()[section]
+        if action.nargs == 0:
+            values, expected = [], action.const
+        elif action.type is not None:
+            values, expected = ["7"], str(action.type("7"))
+        else:
+            values, expected = [FLAG_TEXT[action.dest]], FLAG_TEXT[action.dest]
+        # the --set gives a realtime run its sink; a flag takes precedence
+        assert run_cli(command, action.option_strings[0], *values,
+                       "--set", "run.emit_udp=127.0.0.1:9", "--dump-config") == EXIT_OK
+        dumped = configparser.ConfigParser(interpolation=None)
+        dumped.read_string(capsys.readouterr().out)
+        assert dumped.get(section, key) == expected
+        if action.dest == "scenario.trace_dir":
+            assert dumped.get("scenario", "topology") == "traces"
+
+
 class TestRss:
     def test_row_count(self, tmp_path, capsys):
         out = tmp_path / "rss"
@@ -279,7 +319,7 @@ class TestExitCodes:
                        "--set", "scenario.vehicles=2",
                        "--set", "run.duration_s=1", "--out", str(tmp_path / "x"))
         assert code == 3
-        assert "real-time violation" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: real-time violation: fell behind\n"
 
     @pytest.mark.realtime
     def test_slow_scheduler_exits_3_without_traceback(self, tmp_path, monkeypatch,
@@ -292,22 +332,20 @@ class TestExitCodes:
                        "--out", str(tmp_path / "x"))
         assert code == 3
         err = capsys.readouterr().err
-        lines = [line for line in err.splitlines()
-                 if line.startswith("error: real-time violation: ")]
-        assert len(lines) == 1 and "Traceback" not in err
+        assert err.startswith("error: real-time violation: ") and err.count("\n") == 1
 
     def test_invariant_breach_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
         from rtcsim.errors import SchedulingError
-        import rtcsim.cli as cli_mod
+        import rtcsim.mac as mac_mod
 
         def explode(*args, **kwargs):
             raise SchedulingError("conservation broken")
 
-        monkeypatch.setattr(cli_mod, "mac_run", explode)
+        monkeypatch.setattr(mac_mod, "verify_run_invariants", explode)
         code = run_cli("run", "--set", "scenario.vehicles=2",
                        "--set", "run.duration_s=1", "--out", str(tmp_path / "x"))
         assert code == 4
-        assert "invariant breach" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: invariant breach: conservation broken\n"
 
 
 class TestReport:

@@ -328,6 +328,20 @@ class TestRun:
         assert stats.conservation_holds()
 
 
+    def test_backlogged_vehicle_waits_out_its_own_transmission(self):
+        # 2,000 Hz beacons come faster than tx + aifs (578 us), so each
+        # follow-up starts on its predecessor's contention floor; starts at
+        # k * 578 us fit 87 events into 50 ms, and the 88th beacon, generated
+        # at 43.5 ms, is floored past the horizon and expires
+        sc = static_scenario([(0.0, 0.0), (10.0, 0.0)], [0.0, 0.0],
+                             duration_s=0.05, rate=2000.0)
+        events, stats = run(sc, MODEL, RADIO, PARAMS, hv_transmits=False)
+        assert len(events) == 87
+        for a, b in zip(events, events[1:]):
+            assert b.start_s == a.start_s + PARAMS.tx_interval_s + PARAMS.aifs_s
+        assert stats.packets_expired == 1 and stats.conservation_holds()
+
+
 class TestGoldenEventLog:
     """Event-log rows of a 150-vehicle, 3 s disk run at seed 7, pinned by sha256.
 

@@ -251,7 +251,7 @@ class TestSimReport:
     def test_empty_log_marked_no_traffic(self):
         sc = static_scenario(0, duration_s=1.0)
         report = self._report([], RunStats(sim_duration_s=1.0, wall_time_s=0.1), sc)
-        assert report.rows[0].note == "no traffic"
+        assert report.note == "no traffic"
         assert "no traffic" in report.to_text()
 
     def test_faster_than_realtime_flagged(self):

@@ -11,10 +11,11 @@ from conftest import run_capped_cli
 from rtcsim.cli import EXIT_CONFIG
 from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
-from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                             Waypoint, generate_topology, generation_schedule,
-                             load_scenario, parse_trace_file, position_at,
-                             save_scenario, speed_heading_at, write_trace_files)
+from rtcsim.scenario import (MAX_RUN_BEACONS, MobilityTrace, Scenario, Topology,
+                             TopologySpec, Waypoint, check_run, generate_topology,
+                             generation_schedule, load_scenario, parse_trace_file,
+                             position_at, save_scenario, speed_heading_at,
+                             write_trace_files)
 
 
 def disk_spec(n, radius=500.0):
@@ -110,6 +111,12 @@ class TestGenerateTopology:
     def test_speed_validation(self):
         with pytest.raises(ValidationError):
             generate_topology(disk_spec(5), -1.0, 20.0, seed=1)
+
+    @pytest.mark.parametrize("duration_s,seed", [
+        (math.nan, 1), (math.inf, 1), (0.0, 1), (20.0, -1), (20.0, 2**64)])
+    def test_scenario_rules_hold_before_generating(self, duration_s, seed):
+        with pytest.raises(ValidationError, match="duration_s|seed"):
+            generate_topology(disk_spec(5), 10.0, duration_s, seed)
 
 
 class TestPositionAt:
@@ -284,10 +291,11 @@ class TestParseTraceFile:
         assert err.value.line == 1
 
     def test_malformed_row_line_number_after_header(self):
-        body = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad\n0.0,1,0,0,0,0\nbogus\n"
-        with pytest.raises(TraceParseError) as err:
-            parse_trace_file(io.StringIO(body))
-        assert err.value.line == 3
+        header = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad\n"
+        for rows, line in (("0.0,1,0,0,0,0\nbogus\n", 3), ("0.0,1,0,0,-2.0,0\n", 2)):
+            with pytest.raises(TraceParseError) as err:
+                parse_trace_file(io.StringIO(header + rows))
+            assert err.value.line == line
 
     def test_duplicate_time_rejected(self):
         body = "0.0,5,0,0,0,0\n0.0,5,1,1,0,0\n"
@@ -458,12 +466,51 @@ class TestGeodeticProjection:
         assert x_north == pytest.approx(x_equator * 0.5, rel=1e-9)
 
 
+class TestRunSize:
+    def test_limit_is_inclusive(self):
+        check_run(1.0, 0, float(MAX_RUN_BEACONS))
+        with pytest.raises(ValidationError, match=f"5000001 beacons; the limit is "
+                                                  f"{MAX_RUN_BEACONS}"):
+            check_run(1.0, 0, MAX_RUN_BEACONS + 1.0)
+
+    # each probe would allocate far past the cap if the limit were missing;
+    # a duration of 1e300 meets the CBP window limit first
+    @pytest.mark.parametrize("args,refusal", [
+        (("run", "--set", "run.duration_s=1e300"), "1e+301 points"),
+        (("run", "--set", "run.duration_s=1e7", "--set", "metrics.cbp_window_s=100"),
+         "2e+10 beacons"),
+        (("run", "--set", "scenario.vehicles=100000000"), "4e+10 beacons"),
+        (("gen", "--duration", "1e300"), "2e+303 beacons")])
+    def test_cli_refuses_in_one_line_before_allocating(self, args, refusal, tmp_path):
+        proc = run_capped_cli(*args, "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert f"{refusal}; the limit is " in proc.stderr
+
+    def test_saved_scenario_refused_in_one_line_before_allocating(self, tmp_path):
+        save_edited_manifest(tmp_path, duration_s=1e300)
+        proc = run_capped_cli("run", "--trace-dir", str(tmp_path),
+                              "--set", "metrics.cbp_window_s=1e299",
+                              "--out", str(tmp_path / "out"))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr[-2000:]
+        assert proc.stderr.count("\n") == 1
+        assert f"3e+301 beacons; the limit is {MAX_RUN_BEACONS}" in proc.stderr
+
+
 class TestScenarioInvariants:
     def test_duplicate_vehicle_ids_rejected(self):
         hv = MobilityTrace(0, (Waypoint(0, 0, 0, 0, 0),))
         rv = MobilityTrace(0, (Waypoint(0, 1, 1, 0, 0),))
         with pytest.raises(ValidationError):
             Scenario(hv, (rv,), 10.0, 1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", range(5))
+    def test_waypoint_fields_must_be_finite(self, field, value):
+        values = [0.0] * 5
+        values[field] = value
+        with pytest.raises(ValidationError):
+            Waypoint(*values)
 
     def test_waypoint_monotonicity_enforced(self):
         with pytest.raises(ValidationError):
