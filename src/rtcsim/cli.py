@@ -164,8 +164,8 @@ def cmd_run(args, cfg: RunConfig) -> int:
     report = metrics.summarize(events, cbp, per, stats, label=label,
                                topology=topology,
                                vehicles=scenario.vehicle_count,
-                               channel=cfg.channel_profile, seed=cfg.seed,
-                               duration_s=cfg.duration_s)
+                               channel=cfg.channel_profile, seed=scenario.seed,
+                               duration_s=scenario.duration_s)
 
     write_event_log(events, out / "event_log.csv")
     metrics.write_cbp_csv(cbp, out / "cbp.csv")

@@ -27,14 +27,18 @@ invariants and the busy-percent metric) and the position of every vehicle
 at each of its beacon instants (``Scenario.beacon_positions``, shared with
 the packet-error metric). Beacon instants come from
 ``MobilityTrace.beacon_time``, and ``position_at`` answers a parked host
-vehicle without interpolating.
+vehicle without interpolating. The loop keeps its packet counters in locals,
+and both runners hold automatic garbage collection off for the run
+(``collection_paused``), collecting once at its end.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -170,6 +174,13 @@ class TxEvent:
 
 @dataclass
 class RunStats:
+    """Packet counts and timing of one run.
+
+    Every beacon generated before the horizon is counted once. A vehicle
+    whose packet would start past the horizon queues nothing more, so its
+    later beacons count as generated and expired with that packet.
+    """
+
     sim_duration_s: float = 0.0
     wall_time_s: float = 0.0
     packets_generated: int = 0
@@ -333,9 +344,15 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
 def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                  params: MacParams, stats: RunStats,
                  hv_transmits: bool = True) -> Iterator[TxEvent]:
-    """Generator core shared by the batch and real-time runners."""
+    """Generator core shared by the batch and real-time runners.
+
+    The packet counters live in locals and reach ``stats`` once the queue is
+    drained or the horizon is reached.
+    """
     heap = init_queue(scenario, params, hv_transmits=hv_transmits)
-    stats.packets_generated = len(heap)
+    # looked up per run, not per import, so a stand-in module installed
+    # before the run sees every push and pop
+    heappush, heappop = heapq.heappush, heapq.heappop
     rng = KeyedBackoffRng(scenario.seed, params.cw_min, params.cw_max)
     duration = scenario.duration_s
     hv_trace = scenario.hv_trace
@@ -346,34 +363,19 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     tx_aifs = tx + aifs
     fixed_pd = params.pd_s if params.pd_mode is PdMode.FIXED else None
     hidden_at = chan.hidden_predicate(radio, model)
+    decoded_outcome, collided_outcome = Outcome.DECODED, Outcome.COLLIDED
+    generated = len(heap)
+    expired = decoded = collided = below = n_events = queued = 0
     last_start = -math.inf
 
-    def insert_successor(parent: Packet) -> None:
-        trace = traces[parent.vehicle_id]
-        seq = parent.seq + 1
-        gen = trace.beacon_time(seq)
-        if gen >= duration:
-            return
-        # a vehicle contends for one packet at a time: the follow-up may not
-        # hit the air before the previous one has left it plus the idle gap
-        floor = parent.sched_time_s + tx + aifs
-        sched = gen if gen > floor else floor
-        stats.packets_generated += 1
-        if sched >= duration:
-            stats.packets_expired += 1
-            return
-        vid = trace.vehicle_id
-        heapq.heappush(heap, (sched, vid, seq,
-                              Packet(vid, seq, gen, sched, tx, positions[vid][seq])))
-
     while heap:
-        _, _, _, current = heapq.heappop(heap)
+        _, _, _, current = heappop(heap)
         start = current.sched_time_s
         if start < last_start:
             raise SchedulingError("popped packet travels back in time")
         last_start = start
         if start >= duration:
-            stats.packets_queued_at_end = 1 + len(heap)
+            queued = 1 + len(heap)
             break
 
         end = start + tx
@@ -383,7 +385,7 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         # a head keyed at this very instant collides whatever the band rule
         # would weigh: hidden or not, its offset 0 is within pd and tx
         while heap and heap[0][0] == start:
-            overlap.append(heapq.heappop(heap)[3])
+            overlap.append(heappop(heap)[3])
 
         while heap:
             head = heap[0][3]
@@ -400,8 +402,8 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
             if state is _AIFS_WAIT and head.sched_time_s >= boundary:
                 # already parked on the first idle instant: no longer interferes
                 break
-            heapq.heappop(heap)
-            if state in (_COLLISION_PD, _COLLISION_HIDDEN):
+            heappop(heap)
+            if state is _COLLISION_PD or state is _COLLISION_HIDDEN:
                 overlap.append(head)
                 continue
             if state is _BACKOFF:
@@ -409,34 +411,100 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
             else:
                 reschedule_after_aifs(head, end, params)
             if head.sched_time_s >= duration:
-                stats.packets_expired += 1
+                # its vehicle's later beacons expire with it (see RunStats)
+                unqueued = len(positions[head.vehicle_id]) - head.seq - 1
+                generated += unqueued
+                expired += 1 + unqueued
                 continue
-            heapq.heappush(heap, (head.sched_time_s, head.vehicle_id, head.seq, head))
+            heappush(heap, (head.sched_time_s, head.vehicle_id, head.seq, head))
 
         event = resolve_transmission(current, overlap, model, radio,
                                      position_at(hv_trace, start))
-        stats.events += 1
-        if event.outcome is Outcome.DECODED:
-            stats.packets_decoded += 1
-            stats.packets_collided += event.arrivals - 1
-        elif event.outcome is Outcome.COLLIDED:
-            stats.packets_collided += event.arrivals
+        n_events += 1
+        outcome = event.outcome
+        if outcome is decoded_outcome:
+            decoded += 1
+            collided += len(overlap)
+        elif outcome is collided_outcome:
+            collided += 1 + len(overlap)
         else:
-            stats.packets_below_sensitivity += 1
-        for pkt in (current, *overlap):
-            insert_successor(pkt)
+            below += 1
+
+        # each sender's next beacon
+        for parent in (current, *overlap):
+            vid = parent.vehicle_id
+            seq = parent.seq + 1
+            gen = traces[vid].beacon_time(seq)
+            if gen >= duration:
+                continue
+            # a vehicle contends for one packet at a time: the follow-up may
+            # not hit the air before the previous one has left it plus the
+            # idle gap
+            floor = parent.sched_time_s + tx + aifs
+            sched = gen if gen > floor else floor
+            vehicle_positions = positions[vid]
+            if sched >= duration:
+                # this beacon and its vehicle's later ones expire (see RunStats)
+                unqueued = len(vehicle_positions) - seq
+                generated += unqueued
+                expired += unqueued
+                continue
+            generated += 1
+            heappush(heap, (sched, vid, seq,
+                            Packet(vid, seq, gen, sched, tx, vehicle_positions[seq])))
         yield event
+
+    stats.packets_generated = generated
+    stats.packets_expired = expired
+    stats.packets_decoded = decoded
+    stats.packets_collided = collided
+    stats.packets_below_sensitivity = below
+    stats.packets_queued_at_end = queued
+    stats.events = n_events
+
+
+@contextmanager
+def collection_paused():
+    """Hold off automatic cyclic garbage collection for a run, then collect once.
+
+    A run builds a large, growing graph of packets and events with no
+    reference cycles, so the collector's automatic passes re-walk it and
+    free nothing; in a paced run one such pause can also exceed the lag
+    budget. The single ``gc.collect()`` on the way out pays for the skipped
+    traversals here rather than in the caller's next allocations.
+
+    A window that left fewer new objects than one middle-generation cycle
+    (the first two collection thresholds multiplied, 7,000 by default)
+    skips that collection: the automatic young passes walk those few, where
+    a full pass would walk the caller's whole heap once per small run.
+    Nothing changes if collection was already off on entry.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            # read while still disabled: these calls allocate tuples, and
+            # with collection on the first one would set off an automatic
+            # pass over the whole young generation before the full one
+            young = gc.get_count()[0]
+            threshold0, threshold1, _ = gc.get_threshold()
+            gc.enable()
+            if young > threshold0 * threshold1:
+                gc.collect()
 
 
 def run(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         params: MacParams, hv_transmits: bool = True) -> tuple[list[TxEvent], RunStats]:
     """Execute the scenario offline; returns the time-ordered event log and stats."""
     stats = RunStats(sim_duration_s=scenario.duration_s)
-    t0 = _time.perf_counter()
-    events = list(_iter_events(scenario, model, radio, params, stats,
-                               hv_transmits=hv_transmits))
-    stats.wall_time_s = _time.perf_counter() - t0
-    verify_run_invariants(events, stats, params, model, radio)
+    with collection_paused():
+        t0 = _time.perf_counter()
+        events = list(_iter_events(scenario, model, radio, params, stats,
+                                   hv_transmits=hv_transmits))
+        stats.wall_time_s = _time.perf_counter() - t0
+        verify_run_invariants(events, stats, params, model, radio)
     return events, stats
 
 

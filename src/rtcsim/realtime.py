@@ -16,12 +16,13 @@ due delivery late, and the per-delivery lag check aborts the run.
 
 Per-run tables the scheduler reads (``Scenario.beacon_positions``) are built
 before the wall clock starts: built inside the window, they would hold back
-the first deliveries by the time they take.
+the first deliveries by the time they take. Automatic garbage collection is
+paused for the paced window and run once after it, through the same
+``mac.collection_paused`` window that ``mac.run`` uses.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import time
 from collections import deque
@@ -68,12 +69,8 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 f"(budget {lag_budget_s*1e3:.0f}ms)",
                 events=events, lag_s=lag)
 
-    # collector pauses over a large heap can exceed the lag budget; hold it
-    # off for the paced window and collect once afterwards
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    t_wall0 = time.perf_counter()
-    try:
+    with mac.collection_paused():
+        t_wall0 = time.perf_counter()
         for event in _iter_events(scenario, model, radio, params, stats,
                                   hv_transmits=hv_transmits):
             events.append(event)
@@ -83,10 +80,6 @@ def run_realtime(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 deliver(pending.popleft())
         while pending:
             deliver(pending.popleft())
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect()
 
     stats.wall_time_s = time.perf_counter() - t_wall0
     if lags:

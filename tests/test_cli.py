@@ -157,6 +157,18 @@ class TestRun:
         assert code == EXIT_OK
         assert (out / "event_log.csv").exists()
 
+    def test_trace_dir_summary_reports_the_saved_scenario(self, tmp_path):
+        # the seed and duration come from the saved manifest, not from the
+        # run settings, which keep their defaults here
+        scen = tmp_path / "scen"
+        run_cli("gen", "--vehicles", "4", "--duration", "5", "--seed", "11",
+                "--out", str(scen))
+        out = tmp_path / "run"
+        assert run_cli("run", "--trace-dir", str(scen), "--out", str(out)) == EXIT_OK
+        header, row = (out / "summary.csv").read_text().splitlines()
+        summary = dict(zip(header.split(","), row.split(",")))
+        assert (summary["seed"], summary["duration_s"]) == ("11", "5.0")
+
     def test_dump_config_echoes_effective_document(self, capsys):
         code = run_cli("run", "--set", "run.seed=31", "--dump-config")
         assert code == EXIT_OK

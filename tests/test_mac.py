@@ -1,10 +1,12 @@
 """Overlap classification, rescheduling rules, and the event-driven run loop."""
 
+import gc
 import hashlib
 
 import pytest
 
 from rtcsim import channel as chan
+from rtcsim import mac
 from rtcsim.channel import (RadioConfig, default_fowlerville,
                             default_three_log_distance, rss_dbm)
 from rtcsim.errors import SchedulingError, ValidationError
@@ -332,14 +334,87 @@ class TestRun:
         # 2,000 Hz beacons come faster than tx + aifs (578 us), so each
         # follow-up starts on its predecessor's contention floor; starts at
         # k * 578 us fit 87 events into 50 ms, and the 88th beacon, generated
-        # at 43.5 ms, is floored past the horizon and expires
+        # at 43.5 ms, is floored past the horizon and expires. The vehicle
+        # queues nothing after it, so the 12 beacons it would still generate
+        # before the horizon expire with it, as the packet-error metric
+        # counts them sent and lost.
         sc = static_scenario([(0.0, 0.0), (10.0, 0.0)], [0.0, 0.0],
                              duration_s=0.05, rate=2000.0)
         events, stats = run(sc, MODEL, RADIO, PARAMS, hv_transmits=False)
         assert len(events) == 87
         for a, b in zip(events, events[1:]):
             assert b.start_s == a.start_s + PARAMS.tx_interval_s + PARAMS.aifs_s
-        assert stats.packets_expired == 1 and stats.conservation_holds()
+        assert len(sc.beacon_positions[1]) == 100
+        assert stats.packets_generated == 100
+        assert stats.packets_expired == 13 and stats.conservation_holds()
+
+    def test_every_beacon_before_the_horizon_is_counted(self):
+        # two vehicles at 1,500 Hz overload the channel; across these phases
+        # packets expire on the contention floor and after a backoff, and
+        # the vehicle's later beacons still count, one packet each
+        for k in range(66):
+            sc = static_scenario([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
+                                 [0.0, 0.0, k * 1e-5], duration_s=0.05,
+                                 rate=1500.0)
+            _, stats = run(sc, MODEL, RADIO, PARAMS, hv_transmits=False)
+            beacons = sum(len(sc.beacon_positions[vid]) for vid in (1, 2))
+            assert stats.packets_generated == beacons, k
+            assert stats.conservation_holds(), k
+
+
+class TestCollectionWindow:
+    """``run`` holds automatic garbage collection off and restores it."""
+
+    @pytest.mark.parametrize("case", ["pd_per_pair", "hv_silent", "fowlerville"])
+    def test_run_leaves_no_cyclic_garbage(self, case):
+        # what makes pausing the collector safe: a run frees everything it
+        # drops by reference counting alone
+        model, params, hv_transmits, _ = TestGoldenEventLog.CASES[case]
+        sc = TestGoldenEventLog.golden_scenario()
+        gc.collect()
+        gc.disable()
+        try:
+            events, _ = run(sc, model, RADIO, params, hv_transmits=hv_transmits)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert events
+
+    def test_collection_restored_after_return_and_after_error(self, monkeypatch):
+        sc = static_scenario([(0.0, 0.0), (10.0, 0.0)], [0.0, 0.05])
+        run(sc, MODEL, RADIO, PARAMS)
+        assert gc.isenabled()
+        seen = []
+
+        def breach(*args, **kwargs):
+            seen.append(gc.isenabled())
+            raise SchedulingError("conservation broken")
+
+        monkeypatch.setattr(mac, "verify_run_invariants", breach)
+        with pytest.raises(SchedulingError, match="conservation broken"):
+            run(sc, MODEL, RADIO, PARAMS)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_one_full_pass_after_a_large_run_only(self):
+        # a small run leaves its few objects to the automatic young passes;
+        # the 150-vehicle run leaves over 7,000 and ends with one full pass
+        small = static_scenario([(0.0, 0.0), (10.0, 0.0)], [0.0, 0.05])
+        large = TestGoldenEventLog.golden_scenario()
+        full_passes = []
+
+        def record(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_passes.append(info)
+
+        gc.callbacks.append(record)
+        try:
+            run(small, MODEL, RADIO, PARAMS)
+            after_small = len(full_passes)
+            run(large, MODEL, RADIO, PARAMS)
+        finally:
+            gc.callbacks.remove(record)
+        assert (after_small, len(full_passes)) == (0, 1)
 
 
 class TestGoldenEventLog:
