@@ -21,9 +21,9 @@ from .metrics import (CbpSeries, PerHistogram, SimReport, compute_cbp,
 from .oracle import oracle_replay
 from .realtime import run_realtime
 from .scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                       Waypoint, generate_topology, generation_schedule,
-                       load_scenario, parse_trace_file, position_at,
-                       project_geodetic, save_scenario, write_trace_files)
+                       generate_topology, generation_schedule, load_scenario,
+                       parse_trace_file, position_at, project_geodetic,
+                       save_scenario, write_trace_files)
 from .wire import BsmRecord, NullSink, UdpSink, pack_bsm, unpack_bsm
 
 __version__ = "0.1.0"

@@ -95,12 +95,6 @@ class MacParams:
             return self.pd_s
         return chan.distance_m(a.tx_position, b.tx_position) / SPEED_OF_LIGHT_MPS
 
-    def aifs_target(self, current_end_s: float) -> float:
-        return current_end_s + self.aifs_s
-
-    def backoff_target(self, current_end_s: float, counter: int) -> float:
-        return current_end_s + self.aifs_s + counter * self.slot_time_s
-
 
 @dataclass(slots=True)
 class Packet:
@@ -279,8 +273,8 @@ def apply_backoff(next_pkt: Packet, rng: KeyedBackoffRng, params: MacParams,
     """
     if next_pkt.backoff_counter is None:
         next_pkt.backoff_counter = rng.draw(next_pkt)
-    next_pkt.sched_time_s = params.backoff_target(current_end_s,
-                                                  next_pkt.backoff_counter)
+    next_pkt.sched_time_s = (current_end_s + params.aifs_s
+                             + next_pkt.backoff_counter * params.slot_time_s)
     next_pkt.backoff_counter = 0
     return next_pkt
 
@@ -288,7 +282,7 @@ def apply_backoff(next_pkt: Packet, rng: KeyedBackoffRng, params: MacParams,
 def reschedule_after_aifs(next_pkt: Packet, current_end_s: float,
                           params: MacParams) -> Packet:
     """Push a packet out of the post-transmission idle gap."""
-    next_pkt.sched_time_s = params.aifs_target(current_end_s)
+    next_pkt.sched_time_s = current_end_s + params.aifs_s
     return next_pkt
 
 

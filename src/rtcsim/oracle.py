@@ -83,7 +83,7 @@ def oracle_replay(packets: list[Packet], model: PathLossModel,
 
         if last is not None:
             diff = s - last.start_s
-            gap_end = params.aifs_target(last.end_s)
+            gap_end = last.end_s + params.aifs_s
             if diff <= tx:
                 # sender still on air at this instant
                 hidden = chan.is_hidden(radio, model, last.owner.tx_position,
@@ -93,8 +93,8 @@ def oracle_replay(packets: list[Packet], model: PathLossModel,
                     continue
                 if pkt.backoff_counter is None:
                     pkt.backoff_counter = rng.draw(pkt)
-                pkt.sched_time_s = params.backoff_target(last.end_s,
-                                                         pkt.backoff_counter)
+                pkt.sched_time_s = (last.end_s + params.aifs_s
+                                    + pkt.backoff_counter * params.slot_time_s)
                 pkt.backoff_counter = 0
                 heapq.heappush(pending,
                                (pkt.sched_time_s, pkt.vehicle_id, pkt.seq, pkt))

@@ -1,7 +1,7 @@
 """Vehicle mobility scenarios: synthetic topologies, trace files, schedules.
 
 A scenario is one host vehicle (HV) plus any number of emulated remote
-vehicles (RVs), each described by a time-stamped waypoint trace and a
+vehicles (RVs), each described by a time-stamped mobility trace and a
 periodic packet generation schedule. Three synthetic topologies are
 generated directly (disk, linear road, crossing roads); externally produced
 logs enter through the same CSV trace format.
@@ -13,7 +13,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -28,15 +28,15 @@ _INF = math.inf
 
 # Generated traces are sampled at the beacon cadence; position queries
 # between samples interpolate linearly.
-WAYPOINT_PERIOD_S = 0.1
+SAMPLE_PERIOD_S = 0.1
 
 # Safety-beacon rate of every vehicle unless a scenario sets its own.
 DEFAULT_TX_RATE_HZ = 10.0
 
 # Most beacons a run may generate (duration x the vehicles' summed rates; a
-# scenario still to be generated adds 1 / WAYPOINT_PERIOD_S waypoints per
-# vehicle-second). At ~350 bytes each, measured on a 1000-vehicle disk run,
-# the limit holds a run under 2 GB; a larger one is refused before it starts.
+# scenario still to be generated adds 1 / SAMPLE_PERIOD_S samples per
+# vehicle-second). At ~275 bytes each, measured on a 1000-vehicle disk run,
+# the limit holds a run under 1.5 GB; a larger one is refused before it starts.
 MAX_RUN_BEACONS = 5_000_000
 
 TRACE_HEADER = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad"
@@ -77,52 +77,53 @@ class TopologySpec:
             raise ValidationError("intersection topology needs arm_length_m > 0")
 
 
-@dataclass(frozen=True)
-class Waypoint:
-    time_s: float
-    x_m: float
-    y_m: float
-    speed_mps: float
-    heading_rad: float
-
-    def __post_init__(self):
-        # chained comparisons are false for NaN and cheap: a generated run
-        # builds one waypoint per vehicle per WAYPOINT_PERIOD_S
-        if not (0.0 <= self.time_s < _INF and -_INF < self.x_m < _INF
-                and -_INF < self.y_m < _INF and 0.0 <= self.speed_mps < _INF
-                and 0.0 <= self.heading_rad < TWO_PI):
-            raise ValidationError(
-                f"a waypoint needs finite time_s >= 0, x_m, y_m and speed_mps >= 0, "
-                f"and heading_rad in [0, 2*pi); got {self}")
+def check_sample(time_s: float, x_m: float, y_m: float, speed_mps: float,
+                 heading_rad: float) -> None:
+    """The rule every trace sample obeys, one row of a trace file."""
+    # chained comparisons are false for NaN and cheap: a generated run
+    # checks one sample per vehicle per SAMPLE_PERIOD_S
+    if not (0.0 <= time_s < _INF and -_INF < x_m < _INF and -_INF < y_m < _INF
+            and 0.0 <= speed_mps < _INF and 0.0 <= heading_rad < TWO_PI):
+        raise ValidationError(
+            f"a trace sample needs finite time_s >= 0, x_m, y_m and speed_mps >= 0, "
+            f"and heading_rad in [0, 2*pi); got {(time_s, x_m, y_m, speed_mps, heading_rad)}")
 
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """One vehicle's path plus its beacon generation parameters."""
+    """One vehicle's path, one tuple per trace-file column, plus its beacon
+    generation parameters."""
 
     vehicle_id: int
-    waypoints: tuple[Waypoint, ...]
+    time_s: tuple[float, ...]
+    x_m: tuple[float, ...]
+    y_m: tuple[float, ...]
+    speed_mps: tuple[float, ...]
+    heading_rad: tuple[float, ...]
     tx_rate_hz: float = DEFAULT_TX_RATE_HZ
     gen_phase_s: float = 0.0
 
     def __post_init__(self):
-        if self.vehicle_id < 0:
-            raise ValidationError("vehicle_id must be non-negative")
-        if not self.waypoints:
-            raise ValidationError("trace needs at least one waypoint")
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
-            if b.time_s <= a.time_s:
+        # the wire's vehicle_id field is u32
+        if not 0 <= self.vehicle_id < 1 << 32:
+            raise ValidationError(f"vehicle_id must lie in [0, 2**32), got {self.vehicle_id}")
+        times = self.time_s
+        if not times:
+            raise ValidationError("trace needs at least one sample")
+        columns = (times, self.x_m, self.y_m, self.speed_mps, self.heading_rad)
+        if any(len(column) != len(times) for column in columns):
+            raise ValidationError(f"vehicle {self.vehicle_id}: trace columns differ in length")
+        for sample in zip(*columns):
+            check_sample(*sample)
+        for a, b in zip(times, times[1:]):
+            if b <= a:
                 raise ValidationError(
-                    f"vehicle {self.vehicle_id}: waypoint times must be "
-                    f"strictly increasing (t={b.time_s})")
+                    f"vehicle {self.vehicle_id}: sample times must be "
+                    f"strictly increasing (t={b})")
         if self.tx_rate_hz <= 0:
             raise ValidationError("tx_rate_hz must be positive")
         if not 0.0 <= self.gen_phase_s < 1.0 / self.tx_rate_hz:
             raise ValidationError("gen_phase_s must lie in [0, 1/tx_rate_hz)")
-
-    @cached_property
-    def _times(self) -> list[float]:
-        return [w.time_s for w in self.waypoints]
 
     def beacon_time(self, seq: int) -> float:
         """Generation instant of beacon ``seq``: ``phase + seq/rate``, never accumulated."""
@@ -135,8 +136,8 @@ class MobilityTrace:
         ``position_at`` returns it as is; the beacon table may differ from it
         in the sign of a zero, which gives the same distance to any point.
         """
-        x, y = self.waypoints[0].x_m, self.waypoints[0].y_m
-        if all(w.x_m == x and w.y_m == y for w in self.waypoints):
+        x, y = self.x_m[0], self.y_m[0]
+        if all(v == x for v in self.x_m) and all(v == y for v in self.y_m):
             return (x, y)
         return None
 
@@ -172,7 +173,7 @@ class Scenario:
 
         Entry ``k`` of a vehicle's list equals ``position_at`` at the
         ``k``-th time of its ``generation_schedule``; the times ascend, so
-        one forward walk over the waypoints serves them all. Built on first
+        one forward walk over the samples serves them all. Built on first
         use, which the runners make part of the run rather than of scenario
         set-up.
         """
@@ -193,10 +194,11 @@ def check_run(duration_s: float, seed: int, beacons_per_s: float) -> None:
                               f"the limit is {MAX_RUN_BEACONS}")
 
 
-def _between(a: Waypoint, b: Waypoint, t: float) -> tuple[float, float]:
-    """Position at ``t`` on the straight leg from waypoint ``a`` to ``b``."""
-    f = (t - a.time_s) / (b.time_s - a.time_s)
-    return (a.x_m + f * (b.x_m - a.x_m), a.y_m + f * (b.y_m - a.y_m))
+def _between(trace: MobilityTrace, i: int, t: float) -> tuple[float, float]:
+    """Position at ``t`` on the straight leg from sample ``i - 1`` to ``i``."""
+    times, xs, ys = trace.time_s, trace.x_m, trace.y_m
+    f = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return (xs[i - 1] + f * (xs[i] - xs[i - 1]), ys[i - 1] + f * (ys[i] - ys[i - 1]))
 
 
 def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
@@ -207,44 +209,42 @@ def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     fixed = trace.fixed_position
     if fixed is not None:
         return fixed
-    wps = trace.waypoints
-    if t <= wps[0].time_s:
-        return (wps[0].x_m, wps[0].y_m)
-    if t >= wps[-1].time_s:
-        return (wps[-1].x_m, wps[-1].y_m)
-    i = bisect_right(trace._times, t)
-    return _between(wps[i - 1], wps[i], t)
+    times = trace.time_s
+    if t <= times[0]:
+        return (trace.x_m[0], trace.y_m[0])
+    if t >= times[-1]:
+        return (trace.x_m[-1], trace.y_m[-1])
+    return _between(trace, bisect_right(times, t), t)
 
 
 def _walk_positions(trace: MobilityTrace, times: list[float]) -> list[tuple[float, float]]:
-    """``position_at`` at each of ascending ``times``, in one pass over the waypoints."""
-    wps = trace.waypoints
-    first, last = wps[0], wps[-1]
+    """``position_at`` at each of ascending ``times``, in one pass over the samples."""
+    samples = trace.time_s
+    first, last = samples[0], samples[-1]
     out = []
     i = 1
     for t in times:
-        if t <= first.time_s:
-            out.append((first.x_m, first.y_m))
-        elif t >= last.time_s:
-            out.append((last.x_m, last.y_m))
+        if t <= first:
+            out.append((trace.x_m[0], trace.y_m[0]))
+        elif t >= last:
+            out.append((trace.x_m[-1], trace.y_m[-1]))
         else:
-            # the bisect_right index: first waypoint strictly after t
-            while wps[i].time_s <= t:
+            # the bisect_right index: first sample strictly after t
+            while samples[i] <= t:
                 i += 1
-            out.append(_between(wps[i - 1], wps[i], t))
+            out.append(_between(trace, i, t))
     return out
 
 
 def speed_heading_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
-    """Interpolated speed and the heading held from the earlier waypoint."""
-    wps = trace.waypoints
-    i = bisect_right(trace._times, t)
-    a = wps[max(i - 1, 0)]
-    if t <= wps[0].time_s or i == len(wps):
-        return a.speed_mps, a.heading_rad
-    b = wps[i]
-    f = (t - a.time_s) / (b.time_s - a.time_s)
-    return a.speed_mps + f * (b.speed_mps - a.speed_mps), a.heading_rad
+    """Interpolated speed and the heading held from the earlier sample."""
+    times, speeds = trace.time_s, trace.speed_mps
+    i = bisect_right(times, t)
+    a = max(i - 1, 0)
+    if t <= times[0] or i == len(times):
+        return speeds[a], trace.heading_rad[a]
+    f = (t - times[a]) / (times[i] - times[a])
+    return speeds[a] + f * (speeds[i] - speeds[a]), trace.heading_rad[a]
 
 
 def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
@@ -257,27 +257,26 @@ def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
     return out
 
 
-def _sample_times(duration_s: float) -> list[float]:
-    n = int(math.ceil(duration_s / WAYPOINT_PERIOD_S - 1e-9))
-    times = [k * WAYPOINT_PERIOD_S for k in range(n + 1)]
+def _sample_grid(duration_s: float) -> tuple[float, ...]:
+    n = int(math.ceil(duration_s / SAMPLE_PERIOD_S - 1e-9))
+    times = [k * SAMPLE_PERIOD_S for k in range(n + 1)]
     if times[-1] < duration_s:
         times.append(duration_s)
-    return times
+    return tuple(times)
 
 
-def _disk_waypoints(rng, radius_m, speed_mps, duration_s) -> list[Waypoint]:
+def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[tuple[float, ...], ...]:
+    """x, y, speed and heading columns at ``times``."""
     # uniform over the disk area, then constant-speed circular motion about
     # the center; the 1 m clamp keeps the angular rate finite near the middle
     r = radius_m * math.sqrt(rng.uniform(0.0, 1.0))
     theta0 = rng.uniform(0.0, TWO_PI)
     omega = speed_mps / max(r, 1.0)
-    wps = []
-    for t in _sample_times(duration_s):
-        theta = theta0 + omega * t
-        heading = (theta + 0.5 * math.pi) % TWO_PI
-        wps.append(Waypoint(t, r * math.cos(theta), r * math.sin(theta),
-                            omega * r, heading))
-    return wps
+    thetas = [theta0 + omega * t for t in times]
+    return (tuple([r * math.cos(theta) for theta in thetas]),
+            tuple([r * math.sin(theta) for theta in thetas]),
+            (omega * r,) * len(times),
+            tuple([(theta + 0.5 * math.pi) % TWO_PI for theta in thetas]))
 
 
 def _segment_position(s0: float, direction: int, speed: float, t: float,
@@ -293,22 +292,18 @@ def _segment_position(s0: float, direction: int, speed: float, t: float,
     return lo + 2.0 * span - m, -1.0
 
 
-def _road_waypoints(rng, lo, hi, axis, speed_mps, duration_s) -> list[Waypoint]:
+def _road_columns(rng, lo, hi, axis, speed_mps, times) -> tuple[tuple[float, ...], ...]:
+    """x, y, speed and heading columns at ``times``."""
     # axis 0: road along x at y=0; axis 1: road along y at x=0
     s0 = rng.uniform(lo, hi)
     direction = 1 if rng.integers(0, 2) == 1 else -1
-    wps = []
-    for t in _sample_times(duration_s):
-        s, sign = _segment_position(s0, direction, speed_mps, t, lo, hi)
-        travel = direction * sign
-        if axis == 0:
-            pos = (s, 0.0)
-            heading = 0.0 if travel >= 0 else math.pi
-        else:
-            pos = (0.0, s)
-            heading = 0.5 * math.pi if travel >= 0 else 1.5 * math.pi
-        wps.append(Waypoint(t, pos[0], pos[1], speed_mps, heading))
-    return wps
+    forward, backward = (0.0, math.pi) if axis == 0 else (0.5 * math.pi, 1.5 * math.pi)
+    along, signs = zip(*[_segment_position(s0, direction, speed_mps, t, lo, hi)
+                         for t in times])
+    across = (0.0,) * len(times)
+    xs, ys = (along, across) if axis == 0 else (across, along)
+    return (xs, ys, (speed_mps,) * len(times),
+            tuple([forward if direction * sign >= 0 else backward for sign in signs]))
 
 
 def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
@@ -318,32 +313,38 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
     Deterministic for a fixed seed: per-vehicle draws happen in vehicle-id
     order (placement first, then the generation phase). The HV sits at the
     geometry center unless ``spec`` pins an explicit position. The scenario's
-    rules are checked before anything is allocated; the waypoints check speed.
+    rules and a finite travel are checked before anything is allocated; the
+    samples check the speed's sign.
     """
     if not tx_rate_hz > 0:
         raise ValidationError("tx_rate_hz must be positive")
-    check_run(duration_s, seed, spec.vehicle_count * (tx_rate_hz + 1.0 / WAYPOINT_PERIOD_S))
+    check_run(duration_s, seed, spec.vehicle_count * (tx_rate_hz + 1.0 / SAMPLE_PERIOD_S))
+    times = _sample_grid(duration_s)
+    if not math.isfinite(speed_mps * times[-1]):
+        raise ValidationError(f"speed_mps {speed_mps!r} over {times[-1]!r} s "
+                              f"travels no finite distance")
     rng = np.random.default_rng(seed)
     period = 1.0 / tx_rate_hz
 
     hv_pos = spec.hv_position if spec.hv_position is not None else (0.0, 0.0)
     hv_phase = rng.uniform(0.0, period)
-    hv = MobilityTrace(0, tuple(Waypoint(t, hv_pos[0], hv_pos[1], 0.0, 0.0)
-                                for t in _sample_times(duration_s)), tx_rate_hz, hv_phase)
+    n = len(times)
+    hv = MobilityTrace(0, times, (hv_pos[0],) * n, (hv_pos[1],) * n, (0.0,) * n,
+                       (0.0,) * n, tx_rate_hz, hv_phase)
 
     rvs = []
     for vid in range(1, spec.vehicle_count):
         if spec.kind is Topology.DISK:
-            wps = _disk_waypoints(rng, spec.radius_m, speed_mps, duration_s)
+            columns = _disk_columns(rng, spec.radius_m, speed_mps, times)
         elif spec.kind is Topology.LINEAR:
             half = spec.length_m / 2.0
-            wps = _road_waypoints(rng, -half, half, 0, speed_mps, duration_s)
+            columns = _road_columns(rng, -half, half, 0, speed_mps, times)
         else:
             axis = int(rng.integers(0, 2))
             a = spec.arm_length_m
-            wps = _road_waypoints(rng, -a, a, axis, speed_mps, duration_s)
+            columns = _road_columns(rng, -a, a, axis, speed_mps, times)
         phase = rng.uniform(0.0, period)
-        rvs.append(MobilityTrace(vid, tuple(wps), tx_rate_hz, phase))
+        rvs.append(MobilityTrace(vid, times, *columns, tx_rate_hz, phase))
     return Scenario(hv_trace=hv, rv_traces=tuple(rvs), duration_s=duration_s,
                     seed=seed)
 
@@ -371,13 +372,15 @@ def project_geodetic(lat_deg: float, lon_deg: float, ref_lat_deg: float,
 
 
 def _parse_row(parts: list[str], lineno: int, path: str | None):
-    """A row's vehicle id and Waypoint; Waypoint judges the values."""
+    """A row's vehicle id and sample; ``check_sample`` judges the values."""
     if len(parts) != 6:
         raise TraceParseError(f"expected 6 fields, got {len(parts)}", lineno, path)
     try:
         vid = int(parts[1])
-        return vid, Waypoint(float(parts[0]), float(parts[2]), float(parts[3]),
-                             float(parts[4]), float(parts[5]))
+        sample = (float(parts[0]), float(parts[2]), float(parts[3]),
+                  float(parts[4]), float(parts[5]))
+        check_sample(*sample)
+        return vid, sample
     except ValueError as exc:
         raise TraceParseError(f"unparsable field ({exc})", lineno, path) from None
     except ValidationError as exc:
@@ -385,7 +388,7 @@ def _parse_row(parts: list[str], lineno: int, path: str | None):
 
 
 def parse_trace_file(source) -> list[MobilityTrace]:
-    """Read waypoint rows into per-vehicle traces.
+    """Read sample rows into per-vehicle traces.
 
     ``source`` may be a path or an open text stream. The header line is
     optional; line numbers in errors are 1-based physical lines. Generation
@@ -400,20 +403,20 @@ def parse_trace_file(source) -> list[MobilityTrace]:
         path = str(source)
         lines = Path(source).read_text(encoding="utf-8").splitlines()
 
-    per_vehicle: dict[int, list[Waypoint]] = {}
+    per_vehicle: dict[int, list[tuple[float, ...]]] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if lineno == 1 and line.lower().startswith("time_s"):
             continue
-        vid, wp = _parse_row(line.split(","), lineno, path)
-        per_vehicle.setdefault(vid, []).append(wp)
+        vid, sample = _parse_row(line.split(","), lineno, path)
+        per_vehicle.setdefault(vid, []).append(sample)
 
     traces = []
     for vid in sorted(per_vehicle):
-        wps = sorted(per_vehicle[vid], key=lambda w: w.time_s)
-        traces.append(MobilityTrace(vid, tuple(wps)))
+        samples = sorted(per_vehicle[vid], key=lambda sample: sample[0])
+        traces.append(MobilityTrace(vid, *zip(*samples)))
     return traces
 
 
@@ -428,8 +431,9 @@ def write_lines(path, header: str, rows: Iterable[str]) -> None:
 
 
 def write_trace_file(trace: MobilityTrace, path) -> None:
-    rows = (f"{w.time_s!r},{trace.vehicle_id},{w.x_m!r},{w.y_m!r},"
-            f"{w.speed_mps!r},{w.heading_rad!r}" for w in trace.waypoints)
+    rows = (f"{t!r},{trace.vehicle_id},{x!r},{y!r},{speed!r},{heading!r}"
+            for t, x, y, speed, heading in zip(trace.time_s, trace.x_m, trace.y_m,
+                                               trace.speed_mps, trace.heading_rad))
     try:
         write_lines(path, TRACE_HEADER, rows)
     except OSError as exc:
@@ -523,7 +527,7 @@ def load_scenario(source) -> Scenario:
         if len(match) != 1:
             raise ValidationError(
                 f"trace file {name} does not contain exactly vehicle {vid}")
-        traces[vid] = MobilityTrace(match[0].vehicle_id, match[0].waypoints, rate, phase)
+        traces[vid] = replace(match[0], tx_rate_hz=rate, gen_phase_s=phase)
     if hv_id not in traces:
         raise ValidationError("manifest hv_id has no trace")
     rvs = tuple(traces[vid] for vid in sorted(traces) if vid != hv_id)

@@ -13,7 +13,7 @@ from rtcsim.channel import RadioConfig, default_three_log_distance
 from rtcsim.mac import KeyedBackoffRng, MacParams, Packet, _iter_events
 from rtcsim.mac import run as mac_run
 from rtcsim.oracle import oracle_replay
-from rtcsim.scenario import MobilityTrace, Scenario, Waypoint
+from rtcsim.scenario import DEFAULT_TX_RATE_HZ, MobilityTrace, Scenario
 
 # one packet per vehicle inside a 100 ms burst; the horizon leaves room for
 # every deferral chain to resolve before anything can expire
@@ -34,11 +34,17 @@ def build_instance(seed: int, n_min: int = 2, n_max: int = 5,
     return vehicles
 
 
+def parked_trace(vid: int, pos, times, rate: float = DEFAULT_TX_RATE_HZ,
+                 phase: float = 0.0) -> MobilityTrace:
+    """A trace that stands still at ``pos``, sampled at ``times``."""
+    n = len(times)
+    return MobilityTrace(vid, tuple(times), (pos[0],) * n, (pos[1],) * n,
+                         (0.0,) * n, (0.0,) * n, rate, phase)
+
+
 def instance_scenario(vehicles, seed: int) -> Scenario:
     def trace(vid, pos, phase):
-        wps = (Waypoint(0.0, pos[0], pos[1], 0.0, 0.0),
-               Waypoint(ORACLE_DURATION_S, pos[0], pos[1], 0.0, 0.0))
-        return MobilityTrace(vid, wps, ORACLE_RATE_HZ, phase)
+        return parked_trace(vid, pos, (0.0, ORACLE_DURATION_S), ORACLE_RATE_HZ, phase)
 
     hv = trace(0, (0.0, 0.0), 0.0)
     rvs = tuple(trace(vid, pos, gen) for vid, pos, gen in vehicles)

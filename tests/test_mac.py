@@ -5,6 +5,7 @@ import hashlib
 
 import pytest
 
+from conftest import parked_trace
 from rtcsim import channel as chan
 from rtcsim import mac
 from rtcsim.channel import (RadioConfig, default_fowlerville,
@@ -17,8 +18,7 @@ from rtcsim.mac import (KeyedBackoffRng, MacParams, Outcome, OverlapState,
 from rtcsim.metrics import (compute_cbp, compute_per, write_cbp_csv,
                             write_per_csv)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                             Waypoint, generate_topology, load_scenario,
-                             save_scenario)
+                             generate_topology, load_scenario, save_scenario)
 from rtcsim.wire import event_to_record, pack_bsm
 
 MODEL = default_three_log_distance()
@@ -35,9 +35,7 @@ def pkt(vid, sched, gen=None, pos=(0.0, 0.0), seq=0):
 def static_scenario(positions, phases, duration_s=1.0, seed=0, rate=10.0):
     """HV at origin plus one static RV per (position, phase) pair."""
     def trace(vid, pos, phase):
-        wps = (Waypoint(0.0, pos[0], pos[1], 0.0, 0.0),
-               Waypoint(duration_s, pos[0], pos[1], 0.0, 0.0))
-        return MobilityTrace(vid, wps, rate, phase)
+        return parked_trace(vid, pos, (0.0, duration_s), rate, phase)
 
     hv = trace(0, (0.0, 0.0), phases[0])
     rvs = tuple(trace(i + 1, p, ph)
@@ -487,11 +485,10 @@ class TestGoldenEventLog:
         """The golden scenario, saved and reloaded with an HV that drives
         across the disk on uneven legs."""
         base = cls.golden_scenario()
-        hv = MobilityTrace(0, (Waypoint(0.0, -300.0, -50.0, 200.0, 0.2),
-                               Waypoint(0.7, -160.0, -20.0, 200.0, 0.2),
-                               Waypoint(1.3, -40.0, 0.0, 200.0, 0.0),
-                               Waypoint(2.2, 140.0, 30.0, 200.0, 0.2),
-                               Waypoint(3.0, 300.0, 80.0, 200.0, 0.3)),
+        hv = MobilityTrace(0, (0.0, 0.7, 1.3, 2.2, 3.0),
+                           (-300.0, -160.0, -40.0, 140.0, 300.0),
+                           (-50.0, -20.0, 0.0, 30.0, 80.0), (200.0,) * 5,
+                           (0.2, 0.2, 0.0, 0.2, 0.3),
                            base.hv_trace.tx_rate_hz, base.hv_trace.gen_phase_s)
         save_scenario(Scenario(hv, base.rv_traces, base.duration_s, base.seed), directory)
         sc = load_scenario(directory)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import run_capped_cli
+from conftest import parked_trace, run_capped_cli
 from rtcsim.channel import (PathLossModel, RadioConfig,
                             default_three_log_distance)
 from rtcsim.cli import EXIT_CONFIG
@@ -14,8 +14,7 @@ from rtcsim.metrics import (MAX_SERIES_POINTS, cbp_window_count, compute_cbp,
                             compute_per, per_bin_count, rss_curve, summarize,
                             write_plot_data)
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                             Waypoint, generate_topology, generation_schedule,
-                             position_at)
+                             generate_topology, generation_schedule, position_at)
 from rtcsim import channel as chan
 
 MODEL = default_three_log_distance()
@@ -25,9 +24,7 @@ PARAMS = MacParams()
 
 def static_scenario(n_rvs, duration_s=1.0, spacing_m=50.0, rate=10.0):
     def trace(vid, x, phase):
-        wps = (Waypoint(0.0, x, 0.0, 0.0, 0.0),
-               Waypoint(duration_s, x, 0.0, 0.0, 0.0))
-        return MobilityTrace(vid, wps, rate, phase)
+        return parked_trace(vid, (x, 0.0), (0.0, duration_s), rate, phase)
 
     hv = trace(0, 0.0, 0.0)
     rvs = tuple(trace(i + 1, spacing_m * (i + 1), i * 1e-3) for i in range(n_rvs))
@@ -109,7 +106,7 @@ class TestComputePer:
         events = []
         for trace in sc.rv_traces:
             for seq, gen in enumerate(generation_schedule(trace, sc.duration_s)):
-                x = trace.waypoints[0].x_m
+                x = trace.x_m[0]
                 events.append(make_event(trace.vehicle_id, gen, hv_distance=x,
                                          pos=(x, 0.0), seq=seq))
         per = compute_per(events, sc, hv_id=0)
@@ -145,11 +142,9 @@ class TestComputePer:
 
     def test_distance_measured_at_generation_time(self):
         # vehicle crosses the 400 m cap mid-run: only the near-side packets count
-        wps = (Waypoint(0.0, 390.0, 0.0, 20.0, 0.0),
-               Waypoint(1.0, 410.0, 0.0, 20.0, 0.0))
-        rv = MobilityTrace(1, wps, 10.0, 0.0)
-        hv = MobilityTrace(0, (Waypoint(0.0, 0, 0, 0, 0),
-                               Waypoint(1.0, 0, 0, 0, 0)), 10.0, 0.0)
+        rv = MobilityTrace(1, (0.0, 1.0), (390.0, 410.0), (0.0, 0.0), (20.0, 20.0),
+                           (0.0, 0.0), 10.0, 0.0)
+        hv = parked_trace(0, (0, 0), (0.0, 1.0), 10.0, 0.0)
         sc = Scenario(hv, (rv,), 1.0, 0)
         per = compute_per([], sc, hv_id=0)
         gens = generation_schedule(rv, 1.0)
@@ -159,7 +154,7 @@ class TestComputePer:
     def test_decoded_winner_key_must_match_sequence(self):
         sc = static_scenario(1, duration_s=0.3)
         trace = sc.rv_traces[0]
-        x = trace.waypoints[0].x_m
+        x = trace.x_m[0]
         gens = generation_schedule(trace, sc.duration_s)
         events = [make_event(1, gens[0], hv_distance=x, pos=(x, 0.0), seq=0)]
         per = compute_per(events, sc, hv_id=0)
