@@ -27,9 +27,15 @@ invariants and the busy-percent metric) and the position of every vehicle
 at each of its beacon instants (``Scenario.beacon_positions``, shared with
 the packet-error metric). Beacon instants come from
 ``MobilityTrace.beacon_time``, and ``position_at`` answers a parked host
-vehicle without interpolating. The loop keeps its packet counters in locals,
-and both runners hold automatic garbage collection off for the run
-(``collection_paused``), collecting once at its end.
+vehicle without interpolating. The loop keeps its packet counters in locals.
+
+A head deferred to exactly the first idle instant after a transmission (a
+zero or spent backoff counter, or a move out of the inter-frame space) goes
+on a plain side list instead of the heap; when that list is not empty the
+next transmission starts at that instant, with the list and the heap entries
+keyed there as its same-instant set. Both runners hold automatic garbage
+collection off for the run and then promote its objects to the oldest
+generation without collecting them (``collection_paused``).
 """
 
 from __future__ import annotations
@@ -361,25 +367,41 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     generated = len(heap)
     expired = decoded = collided = below = n_events = queued = 0
     last_start = -math.inf
+    # heads deferred to exactly the first idle instant after a transmission,
+    # as (vehicle_id, seq, packet): one pending packet per vehicle, so
+    # sorting never compares two packets
+    pile: list = []
 
-    while heap:
-        _, _, _, current = heappop(heap)
-        start = current.sched_time_s
+    # a head keyed at the instant a transmission starts collides whatever the
+    # band rule would weigh: hidden or not, its offset 0 is within pd and tx
+    while heap or pile:
+        if pile:
+            # no heap entry precedes the pile: the band scan pops each head with
+            # diff <= tx_aifs, and pred(boundary) - start rounds to <= tx + aifs
+            start = boundary
+            while heap and heap[0][0] == start:
+                pile.append(heappop(heap)[1:])
+            # heap order: the lowest (vehicle_id, seq) transmits
+            pile.sort()
+            current = pile[0][2]
+            overlap: list[Packet] = [entry[2] for entry in pile[1:]]
+            pile.clear()
+        else:
+            current = heappop(heap)[3]
+            start = current.sched_time_s
+            overlap = []
+            while heap and heap[0][0] == start:
+                overlap.append(heappop(heap)[3])
         if start < last_start:
             raise SchedulingError("popped packet travels back in time")
         last_start = start
         if start >= duration:
-            queued = 1 + len(heap)
+            queued = 1 + len(overlap) + len(heap)
             break
 
         end = start + tx
         boundary = end + aifs
         cx, cy = current.tx_position
-        overlap: list[Packet] = []
-        # a head keyed at this very instant collides whatever the band rule
-        # would weigh: hidden or not, its offset 0 is within pd and tx
-        while heap and heap[0][0] == start:
-            overlap.append(heappop(heap)[3])
 
         while heap:
             head = heap[0][3]
@@ -404,13 +426,16 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                 apply_backoff(head, rng, params, end)
             else:
                 reschedule_after_aifs(head, end, params)
-            if head.sched_time_s >= duration:
+            sched = head.sched_time_s
+            if sched >= duration:
                 # its vehicle's later beacons expire with it (see RunStats)
                 unqueued = len(positions[head.vehicle_id]) - head.seq - 1
                 generated += unqueued
                 expired += 1 + unqueued
-                continue
-            heappush(heap, (head.sched_time_s, head.vehicle_id, head.seq, head))
+            elif sched == boundary:
+                pile.append((head.vehicle_id, head.seq, head))
+            else:
+                heappush(heap, (sched, head.vehicle_id, head.seq, head))
 
         event = resolve_transmission(current, overlap, model, radio,
                                      position_at(hv_trace, start))
@@ -459,34 +484,33 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
 
 @contextmanager
 def collection_paused():
-    """Hold off automatic cyclic garbage collection for a run, then collect once.
+    """Hold off automatic cyclic garbage collection for a run, then promote
+    what it left to the oldest generation.
 
     A run builds a large, growing graph of packets and events with no
     reference cycles, so the collector's automatic passes re-walk it and
     free nothing; in a paced run one such pause can also exceed the lag
-    budget. The single ``gc.collect()`` on the way out pays for the skipped
-    traversals here rather than in the caller's next allocations.
+    budget. On the way out ``gc.freeze(); gc.unfreeze()`` moves every
+    tracked object into the oldest generation in O(1), without walking any
+    of them, so the caller's next allocations do not set off young passes
+    over the run's objects either. Cycles the caller creates inside the
+    window are therefore freed at a later full pass, not on leaving it.
 
-    A window that left fewer new objects than one middle-generation cycle
-    (the first two collection thresholds multiplied, 7,000 by default)
-    skips that collection: the automatic young passes walk those few, where
-    a full pass would walk the caller's whole heap once per small run.
-    Nothing changes if collection was already off on entry.
+    The promotion is skipped when the caller holds frozen objects on entry,
+    which unfreezing would release. Nothing changes if collection was
+    already off on entry.
     """
     was_enabled = gc.isenabled()
+    promote = gc.get_freeze_count() == 0
     gc.disable()
     try:
         yield
     finally:
         if was_enabled:
-            # read while still disabled: these calls allocate tuples, and
-            # with collection on the first one would set off an automatic
-            # pass over the whole young generation before the full one
-            young = gc.get_count()[0]
-            threshold0, threshold1, _ = gc.get_threshold()
+            if promote:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
-            if young > threshold0 * threshold1:
-                gc.collect()
 
 
 def run(scenario: Scenario, model: PathLossModel, radio: RadioConfig,

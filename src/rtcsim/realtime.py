@@ -17,7 +17,8 @@ due delivery late, and the per-delivery lag check aborts the run.
 Per-run tables the scheduler reads (``Scenario.beacon_positions``) are built
 before the wall clock starts: built inside the window, they would hold back
 the first deliveries by the time they take. Automatic garbage collection is
-paused for the paced window and run once after it, through the same
+paused for the paced window, and what it left is promoted to the oldest
+generation without a collection after it, through the same
 ``mac.collection_paused`` window that ``mac.run`` uses.
 """
 

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -313,8 +313,9 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
     Deterministic for a fixed seed: per-vehicle draws happen in vehicle-id
     order (placement first, then the generation phase). The HV sits at the
     geometry center unless ``spec`` pins an explicit position. The scenario's
-    rules and a finite travel are checked before anything is allocated; the
-    samples check the speed's sign.
+    rules, a finite travel and the speed's sign (by ``check_sample``, so a
+    host-only scenario is held to it too) are checked before anything is
+    allocated.
     """
     if not tx_rate_hz > 0:
         raise ValidationError("tx_rate_hz must be positive")
@@ -323,6 +324,7 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
     if not math.isfinite(speed_mps * times[-1]):
         raise ValidationError(f"speed_mps {speed_mps!r} over {times[-1]!r} s "
                               f"travels no finite distance")
+    check_sample(0.0, 0.0, 0.0, speed_mps, 0.0)
     rng = np.random.default_rng(seed)
     period = 1.0 / tx_rate_hz
 
@@ -387,14 +389,11 @@ def _parse_row(parts: list[str], lineno: int, path: str | None):
         raise TraceParseError(str(exc), lineno, path) from None
 
 
-def parse_trace_file(source) -> list[MobilityTrace]:
-    """Read sample rows into per-vehicle traces.
+def _read_columns(source) -> dict[int, tuple[tuple[float, ...], ...]]:
+    """Each vehicle's checked rows, sorted by time, as the five sample columns.
 
     ``source`` may be a path or an open text stream. The header line is
-    optional; line numbers in errors are 1-based physical lines. Generation
-    parameters are not part of the row format, so every trace carries the
-    MobilityTrace defaults (the scenario manifest holds the real values).
-    MobilityTrace judges the sorted rows, so a repeated time raises its ValidationError.
+    optional; line numbers in errors are 1-based physical lines.
     """
     path = None
     if hasattr(source, "read"):
@@ -412,12 +411,20 @@ def parse_trace_file(source) -> list[MobilityTrace]:
             continue
         vid, sample = _parse_row(line.split(","), lineno, path)
         per_vehicle.setdefault(vid, []).append(sample)
+    return {vid: tuple(zip(*sorted(samples, key=lambda sample: sample[0])))
+            for vid, samples in per_vehicle.items()}
 
-    traces = []
-    for vid in sorted(per_vehicle):
-        samples = sorted(per_vehicle[vid], key=lambda sample: sample[0])
-        traces.append(MobilityTrace(vid, *zip(*samples)))
-    return traces
+
+def parse_trace_file(source) -> list[MobilityTrace]:
+    """Read sample rows into per-vehicle traces, in vehicle-id order.
+
+    Generation parameters are not part of the row format, so every trace
+    carries the MobilityTrace defaults (the scenario manifest holds the real
+    values). MobilityTrace judges the sorted rows, so a repeated time raises
+    its ValidationError.
+    """
+    columns = _read_columns(source)
+    return [MobilityTrace(vid, *columns[vid]) for vid in sorted(columns)]
 
 
 def trace_file_name(vehicle_id: int) -> str:
@@ -523,11 +530,10 @@ def load_scenario(source) -> Scenario:
                               f"({type(exc).__name__}: {exc})") from None
     traces: dict[int, MobilityTrace] = {}
     for vid, name, rate, phase in entries:
-        match = [t for t in parse_trace_file(path.parent / name) if t.vehicle_id == vid]
-        if len(match) != 1:
-            raise ValidationError(
-                f"trace file {name} does not contain exactly vehicle {vid}")
-        traces[vid] = replace(match[0], tx_rate_hz=rate, gen_phase_s=phase)
+        columns = _read_columns(path.parent / name)
+        if vid not in columns:
+            raise ValidationError(f"trace file {name} does not contain vehicle {vid}")
+        traces[vid] = MobilityTrace(vid, *columns[vid], rate, phase)
     if hv_id not in traces:
         raise ValidationError("manifest hv_id has no trace")
     rvs = tuple(traces[vid] for vid in sorted(traces) if vid != hv_id)

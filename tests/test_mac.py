@@ -2,8 +2,11 @@
 
 import gc
 import hashlib
+import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import parked_trace
 from rtcsim import channel as chan
@@ -17,9 +20,10 @@ from rtcsim.mac import (KeyedBackoffRng, MacParams, Outcome, OverlapState,
                         resolve_transmission, run)
 from rtcsim.metrics import (compute_cbp, compute_per, write_cbp_csv,
                             write_per_csv)
+from rtcsim.realtime import run_realtime
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
                              generate_topology, load_scenario, save_scenario)
-from rtcsim.wire import event_to_record, pack_bsm
+from rtcsim.wire import NullSink, event_to_record, pack_bsm
 
 MODEL = default_three_log_distance()
 RADIO = RadioConfig()
@@ -122,6 +126,24 @@ class TestClassify:
     def test_negative_diff_raises(self):
         with pytest.raises(SchedulingError):
             classify(pkt(1, 1.0), pkt(2, 0.5), PARAMS, hidden=False)
+
+
+class TestFirstIdleInstant:
+    """No float before ``(start + tx) + aifs`` lies more than ``tx + aifs``
+    after ``start``, so the band scan leaves no queue head behind the first
+    idle instant and the scheduler may start there without looking."""
+
+    @settings(max_examples=2000, deadline=None, database=None)
+    @given(start=st.floats(min_value=0.0, max_value=1e300),
+           tx=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+           aifs=st.floats(min_value=0.0, max_value=1e300))
+    @example(start=1.0, tx=0.5, aifs=0.5)  # the boundary is a power of two
+    @example(start=0.0, tx=5e-324, aifs=0.0)
+    @example(start=3.0, tx=520e-6, aifs=58e-6)
+    def test_nothing_before_the_boundary_lies_past_the_band(self, start, tx, aifs):
+        boundary = (start + tx) + aifs
+        assume(math.isfinite(boundary) and math.isfinite(tx + aifs))
+        assert math.nextafter(boundary, -math.inf) - start <= tx + aifs
 
 
 class TestBackoff:
@@ -394,25 +416,47 @@ class TestCollectionWindow:
         assert seen == [False]
         assert gc.isenabled()
 
-    def test_one_full_pass_after_a_large_run_only(self):
-        # a small run leaves its few objects to the automatic young passes;
-        # the 150-vehicle run leaves over 7,000 and ends with one full pass
+    @pytest.mark.realtime
+    def test_no_full_pass_and_nothing_left_frozen(self):
+        # the window hands what a run left to the oldest generation without
+        # walking it: no run, small or 150-vehicle, batch or paced, starts a
+        # full pass, and the freeze used for the move is undone
         small = static_scenario([(0.0, 0.0), (10.0, 0.0)], [0.0, 0.05])
         large = TestGoldenEventLog.golden_scenario()
+        paced = generate_topology(
+            TopologySpec(kind=Topology.DISK, vehicle_count=150, radius_m=500.0),
+            10.0, 0.3, seed=7)
         full_passes = []
 
         def record(phase, info):
             if phase == "start" and info["generation"] == 2:
                 full_passes.append(info)
 
+        gc.collect()
+        assert gc.get_freeze_count() == 0
         gc.callbacks.append(record)
         try:
             run(small, MODEL, RADIO, PARAMS)
-            after_small = len(full_passes)
             run(large, MODEL, RADIO, PARAMS)
+            events, _ = run_realtime(paced, MODEL, RADIO, PARAMS, NullSink())
         finally:
             gc.callbacks.remove(record)
-        assert (after_small, len(full_passes)) == (0, 1)
+        assert events
+        assert full_passes == []
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        sc = TestGoldenEventLog.golden_scenario()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            run(sc, MODEL, RADIO, PARAMS)
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
 
 
 class TestGoldenEventLog:
@@ -442,6 +486,11 @@ class TestGoldenEventLog:
         "hv_silent": (
             default_three_log_distance(), MacParams(), False,
             "dc45f158d85d38762b45cfcea9d8ff14c0ed7dc94a9f7fe222a004e7ac45e07e"),
+        # every backoff counter is 0, so every deferral lands on the first
+        # idle instant after the transmission that caused it
+        "cw_fixed0": (
+            default_three_log_distance(), MacParams(cw_min=0, cw_max=0), True,
+            "78765523e712118ed15bcdccb048383c171c085be9a287c48c539502015cb033"),
     }
 
     @staticmethod
@@ -494,6 +543,26 @@ class TestGoldenEventLog:
         sc = load_scenario(directory)
         assert sc.hv_trace.fixed_position is None
         return sc
+
+    def test_overloaded_mixed_rate_run(self):
+        # a 2 kHz host and remotes at 1 kHz and 250 Hz: the host's follow-ups
+        # start on its contention floor while other heads wait on the first
+        # idle instant, and the last deferral before the horizon expires a
+        # packet as another waits there
+        duration = 0.041
+        hv = parked_trace(0, (0.0, 0.0), (0.0, duration), 2000.0, 0.00046)
+        rvs = (parked_trace(1, (10.0, 0.0), (0.0, duration), 1000.0, 0.00079),
+               parked_trace(2, (20.0, 0.0), (0.0, duration), 250.0, 0.00047))
+        sc = Scenario(hv_trace=hv, rv_traces=rvs, duration_s=duration, seed=2557)
+        events, stats = run(sc, MODEL, RADIO, PARAMS)
+        rows = "\n".join(map(format_event_row, events))
+        assert hashlib.sha256(rows.encode()).hexdigest() == \
+            "a3d6f2efff1d61bae2077781a1269edf96e1535fb084c46d4bfbe001f95fdf31"
+        assert (stats.events, stats.packets_generated, stats.packets_decoded,
+                stats.packets_collided, stats.packets_expired) == (71, 134, 71, 50, 13)
+        floor = PARAMS.tx_interval_s + PARAMS.aifs_s
+        assert any(b.start_s == a.start_s + floor and b.colliders
+                   for a, b in zip(events, events[1:]))
 
     def test_moving_host_vehicle(self, tmp_path):
         sc = self.moving_host_scenario(tmp_path)

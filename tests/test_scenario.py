@@ -11,6 +11,7 @@ from scipy import stats as scipy_stats
 
 from conftest import parked_trace, run_capped_cli
 from rtcsim.cli import EXIT_CONFIG
+from rtcsim import scenario as scenario_module
 from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
 from rtcsim.scenario import (MAX_RUN_BEACONS, MobilityTrace, Scenario, Topology,
@@ -130,6 +131,24 @@ class TestGenerateTopology:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "no finite distance" in err
+
+    @pytest.mark.parametrize("vehicles", [1, 2])
+    def test_negative_speed_refused_with_or_without_remote_vehicles(self, vehicles):
+        with pytest.raises(ValidationError, match="speed_mps >= 0"):
+            generate_topology(disk_spec(vehicles), -5.0, 1.0, seed=1)
+
+    @pytest.mark.parametrize("vehicles", ["1", "2"])
+    @pytest.mark.parametrize("command", ["gen", "run"])
+    def test_negative_speed_is_one_line_config_error(self, command, vehicles,
+                                                     tmp_path, capsys):
+        code = cli_main([command, "--set", f"scenario.vehicles={vehicles}",
+                         "--set", "scenario.speed_mps=-5", "--set", "run.duration_s=1",
+                         "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "speed_mps >= 0" in err
+        assert not (tmp_path / "out").exists()
 
     def test_no_per_sample_objects(self):
         # a trace holds its samples in five column tuples, not an object each:
@@ -377,6 +396,24 @@ class TestTraceFilesRoundTrip:
         save_scenario(sc, tmp_path)
         loaded = load_scenario(tmp_path)
         assert loaded == sc
+
+    def test_each_loaded_sample_is_checked_twice(self, tmp_path, monkeypatch):
+        # once as its row is parsed, once by the trace built with the
+        # manifest's rate and phase
+        sc = generate_topology(disk_spec(11), 8.0, 2.0, seed=77)
+        save_scenario(sc, tmp_path)
+        calls = []
+
+        def counted(*sample):
+            calls.append(sample)
+            return check_sample(*sample)
+
+        monkeypatch.setattr(scenario_module, "check_sample", counted)
+        loaded = load_scenario(tmp_path)
+        assert loaded == sc
+        samples = sum(len(trace.time_s) for trace in sc.all_traces())
+        assert samples == 11 * 21
+        assert len(calls) == 2 * samples
 
     @pytest.mark.parametrize("key", ["vehicles", "hv_id", "duration_s", "seed"])
     def test_manifest_missing_key_rejected(self, tmp_path, key):

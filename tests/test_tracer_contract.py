@@ -18,8 +18,8 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 # what the traced run below makes of each counted name
 PINNED_CALLS = {
-    "heapq.heappush": 787,
-    "heapq.heappop": 887,
+    "heapq.heappush": 657,
+    "heapq.heappop": 757,
     "mac.KeyedBackoffRng.draw": 267,
     "mac.apply_backoff": 358,
     "mac.redeferral": 91,
