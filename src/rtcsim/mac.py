@@ -25,9 +25,13 @@ once before it starts: the timing sums, the fixed propagation delay, the
 hidden test on distance (``channel.hidden_predicate``, shared with the run
 invariants and the busy-percent metric) and the position of every vehicle
 at each of its beacon instants (``Scenario.beacon_positions``, shared with
-the packet-error metric). Beacon instants come from
-``MobilityTrace.beacon_time``, and ``position_at`` answers a parked host
-vehicle without interpolating. The loop keeps its packet counters in locals.
+the packet-error metric, interpolated in one array pass per vehicle). Beacon
+instants come from ``MobilityTrace.beacon_time``, and ``position_at``
+answers a parked host vehicle without interpolating. Backoff counters are
+worked out a vehicle row at a time, in one uint64 array pass over a chunk of
+sequence numbers, and read back per draw (``KeyedBackoffRng``). The loop
+keeps its packet counters in locals. Timings whose slot vanishes when added
+to the run's horizon are refused before the first packet is queued.
 
 A head deferred to exactly the first idle instant after a transmission (a
 zero or spent backoff counter, or a move out of the inter-frame space) goes
@@ -49,6 +53,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterator, Optional
+
+import numpy as np
 
 from . import channel as chan
 from .channel import PathLossModel, RadioConfig
@@ -205,12 +211,29 @@ class RunStats:
         return accounted == self.packets_generated
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-    return z ^ (z >> 31)
+# splitmix64's published increment, multipliers and shifts, held as np.uint64
+# so that every operation below is uint64 array arithmetic, which wraps
+# modulo 2**64 without a warning: numpy scalar arithmetic would warn, and a
+# Python int operand promotes to float64 under numpy 1.x rules
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+# sequence numbers a vehicle's row of counters grows by: 256 covers a 20 s
+# run at 10 Hz in one pass
+_ROW_CHUNK = 256
+
+
+def _splitmix_u64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 of each element of a uint64 array."""
+    z = x + _GAMMA
+    z ^= z >> _SHIFT30
+    z *= _MIX1
+    z ^= z >> _SHIFT27
+    z *= _MIX2
+    z ^= z >> _SHIFT31
+    return z
 
 
 class KeyedBackoffRng:
@@ -221,19 +244,42 @@ class KeyedBackoffRng:
     to an independent replay. The modulo fold over the contention window is
     exactly uniform whenever the window size is a power of two (the default
     [0, 15] window) and carries a < 2**-57 bias otherwise.
+
+    A vehicle's first draw works out its counters for a chunk of sequence
+    numbers in one uint64 array pass; a later ``seq`` past the row grows it
+    to the end of that seq's chunk. Every other draw is a lookup, and the
+    order of draws changes no counter.
     """
 
     def __init__(self, seed: int, cw_min: int, cw_max: int):
         self.seed = seed & _M64
         self.cw_min = cw_min
         self.cw_max = cw_max
-        self._seed_hash = _splitmix64(self.seed)
-        self._span = cw_max - cw_min + 1
+        self._seed_hash = int(_splitmix_u64(np.array([self.seed], dtype=np.uint64))[0])
+        span = cw_max - cw_min + 1
+        # a window of 2**64 slots or more folds nothing
+        self._span = np.uint64(span) if span <= _M64 else None
+        self._rows: dict[int, list[int]] = {}
 
     def draw(self, packet: Packet) -> int:
-        h = _splitmix64(self._seed_hash ^ (packet.vehicle_id & _M64))
-        h = _splitmix64(h ^ (packet.seq & _M64))
-        return self.cw_min + (h % self._span)
+        seq = packet.seq
+        row = self._rows.get(packet.vehicle_id)
+        if row is None or seq >= len(row):
+            row = self._grow(packet.vehicle_id, seq)
+        return self.cw_min + row[seq]
+
+    def _grow(self, vehicle_id: int, seq: int) -> list[int]:
+        """The vehicle's row, extended to the end of the chunk holding ``seq``."""
+        row = self._rows.setdefault(vehicle_id, [])
+        key = _splitmix_u64(np.array([self._seed_hash ^ (vehicle_id & _M64)],
+                                     dtype=np.uint64))
+        seqs = np.arange(len(row), (seq // _ROW_CHUNK + 1) * _ROW_CHUNK,
+                         dtype=np.uint64)
+        h = _splitmix_u64(key ^ seqs)
+        if self._span is not None:
+            h %= self._span
+        row.extend(h.tolist())
+        return row
 
 
 def overlap_band(diff: float, hidden: bool, pd: float, tx: float,
@@ -347,14 +393,21 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     """Generator core shared by the batch and real-time runners.
 
     The packet counters live in locals and reach ``stats`` once the queue is
-    drained or the horizon is reached.
+    drained or the horizon is reached. Timings whose slot vanishes when added
+    to the horizon are refused before anything is queued: every instant a
+    transmission can start lies below the horizon, so an arbitration gap of
+    two such slots would round away there and let transmissions run back to
+    back.
     """
+    duration = scenario.duration_s
+    if duration + params.slot_time_s == duration:
+        raise ValidationError(f"slot_time_s {params.slot_time_s!r} vanishes against "
+                              f"the {duration!r} s run horizon")
     heap = init_queue(scenario, params, hv_transmits=hv_transmits)
     # looked up per run, not per import, so a stand-in module installed
     # before the run sees every push and pop
     heappush, heappop = heapq.heappush, heapq.heappop
     rng = KeyedBackoffRng(scenario.seed, params.cw_min, params.cw_max)
-    duration = scenario.duration_s
     hv_trace = scenario.hv_trace
     traces = scenario.traces_by_id
     positions = scenario.beacon_positions

@@ -35,9 +35,13 @@ DEFAULT_TX_RATE_HZ = 10.0
 
 # Most beacons a run may generate (duration x the vehicles' summed rates; a
 # scenario still to be generated adds 1 / SAMPLE_PERIOD_S samples per
-# vehicle-second). At ~275 bytes each, measured on a 1000-vehicle disk run,
+# vehicle-second). At ~280 bytes each, measured on a 1000-vehicle disk run,
 # the limit holds a run under 1.5 GB; a larger one is refused before it starts.
 MAX_RUN_BEACONS = 5_000_000
+
+# Largest coordinate magnitude of a trace sample: the difference of two
+# coordinates then stays finite, so interpolating a leg never overflows.
+MAX_COORD_M = 1e307
 
 TRACE_HEADER = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad"
 MANIFEST_NAME = "scenario.json"
@@ -82,11 +86,13 @@ def check_sample(time_s: float, x_m: float, y_m: float, speed_mps: float,
     """The rule every trace sample obeys, one row of a trace file."""
     # chained comparisons are false for NaN and cheap: a generated run
     # checks one sample per vehicle per SAMPLE_PERIOD_S
-    if not (0.0 <= time_s < _INF and -_INF < x_m < _INF and -_INF < y_m < _INF
+    if not (0.0 <= time_s < _INF and -MAX_COORD_M <= x_m <= MAX_COORD_M
+            and -MAX_COORD_M <= y_m <= MAX_COORD_M
             and 0.0 <= speed_mps < _INF and 0.0 <= heading_rad < TWO_PI):
         raise ValidationError(
-            f"a trace sample needs finite time_s >= 0, x_m, y_m and speed_mps >= 0, "
-            f"and heading_rad in [0, 2*pi); got {(time_s, x_m, y_m, speed_mps, heading_rad)}")
+            f"a trace sample needs finite time_s >= 0 and speed_mps >= 0, x_m and y_m "
+            f"within +-{MAX_COORD_M:g}, and heading_rad in [0, 2*pi); "
+            f"got {(time_s, x_m, y_m, speed_mps, heading_rad)}")
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,7 @@ class MobilityTrace:
     def fixed_position(self) -> Optional[tuple[float, float]]:
         """The one position of a trace that never moves, else None.
 
-        ``position_at`` returns it as is; the beacon table may differ from it
-        in the sign of a zero, which gives the same distance to any point.
+        ``position_at`` and the beacon table return it as is at every instant.
         """
         x, y = self.x_m[0], self.y_m[0]
         if all(v == x for v in self.x_m) and all(v == y for v in self.y_m):
@@ -172,12 +177,13 @@ class Scenario:
         """Each vehicle's position at each of its beacon generation instants.
 
         Entry ``k`` of a vehicle's list equals ``position_at`` at the
-        ``k``-th time of its ``generation_schedule``; the times ascend, so
-        one forward walk over the samples serves them all. Built on first
-        use, which the runners make part of the run rather than of scenario
-        set-up.
+        ``k``-th time of its ``generation_schedule``, signed zeros included:
+        a parked vehicle's entries are its ``fixed_position``, and a moving
+        one's are interpolated in one array pass over its beacon instants,
+        with ``position_at``'s operations. Built on first use, which the
+        runners make part of the run rather than of scenario set-up.
         """
-        return {t.vehicle_id: _walk_positions(t, generation_schedule(t, self.duration_s))
+        return {t.vehicle_id: _positions_at(t, _beacon_times(t, self.duration_s))
                 for t in self.all_traces()}
 
 
@@ -194,13 +200,6 @@ def check_run(duration_s: float, seed: int, beacons_per_s: float) -> None:
                               f"the limit is {MAX_RUN_BEACONS}")
 
 
-def _between(trace: MobilityTrace, i: int, t: float) -> tuple[float, float]:
-    """Position at ``t`` on the straight leg from sample ``i - 1`` to ``i``."""
-    times, xs, ys = trace.time_s, trace.x_m, trace.y_m
-    f = (t - times[i - 1]) / (times[i] - times[i - 1])
-    return (xs[i - 1] + f * (xs[i] - xs[i - 1]), ys[i - 1] + f * (ys[i] - ys[i - 1]))
-
-
 def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     """Linearly interpolated position, clamped outside the covered interval.
 
@@ -209,31 +208,37 @@ def position_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     fixed = trace.fixed_position
     if fixed is not None:
         return fixed
-    times = trace.time_s
+    times, xs, ys = trace.time_s, trace.x_m, trace.y_m
     if t <= times[0]:
-        return (trace.x_m[0], trace.y_m[0])
+        return (xs[0], ys[0])
     if t >= times[-1]:
-        return (trace.x_m[-1], trace.y_m[-1])
-    return _between(trace, bisect_right(times, t), t)
+        return (xs[-1], ys[-1])
+    # on the straight leg from sample i - 1 to sample i
+    i = bisect_right(times, t)
+    f = (t - times[i - 1]) / (times[i] - times[i - 1])
+    return (xs[i - 1] + f * (xs[i] - xs[i - 1]), ys[i - 1] + f * (ys[i] - ys[i - 1]))
 
 
-def _walk_positions(trace: MobilityTrace, times: list[float]) -> list[tuple[float, float]]:
-    """``position_at`` at each of ascending ``times``, in one pass over the samples."""
-    samples = trace.time_s
-    first, last = samples[0], samples[-1]
+def _positions_at(trace: MobilityTrace, times: np.ndarray) -> list[tuple[float, float]]:
+    """``position_at`` at each of ascending ``times``."""
+    fixed = trace.fixed_position
+    if fixed is not None:
+        return [fixed] * len(times)
+    samples = np.array(trace.time_s)
+    columns = (np.array(trace.x_m), np.array(trace.y_m))
+    # clamped to the first sample up to it and to the last from it on
+    before = times <= samples[0]
+    inner = ~before & (times < samples[-1])
+    t = times[inner]
+    # position_at's bisect_right index and leg, for every inner instant at once
+    i = np.searchsorted(samples, t, side="right")
+    f = (t - samples[i - 1]) / (samples[i] - samples[i - 1])
     out = []
-    i = 1
-    for t in times:
-        if t <= first:
-            out.append((trace.x_m[0], trace.y_m[0]))
-        elif t >= last:
-            out.append((trace.x_m[-1], trace.y_m[-1]))
-        else:
-            # the bisect_right index: first sample strictly after t
-            while samples[i] <= t:
-                i += 1
-            out.append(_between(trace, i, t))
-    return out
+    for col in columns:
+        values = np.where(before, col[0], col[-1])
+        values[inner] = col[i - 1] + f * (col[i] - col[i - 1])
+        out.append(values.tolist())
+    return list(zip(*out))
 
 
 def speed_heading_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
@@ -247,14 +252,20 @@ def speed_heading_at(trace: MobilityTrace, t: float) -> tuple[float, float]:
     return speeds[a] + f * (speeds[i] - speeds[a]), trace.heading_rad[a]
 
 
+def _beacon_times(trace: MobilityTrace, duration_s: float) -> np.ndarray:
+    """``trace.beacon_time(k)`` for each beacon generated within [0, duration)."""
+    # beacon_time is monotone in k: settle the count with it at the edge
+    n = max(0, math.ceil((duration_s - trace.gen_phase_s) * trace.tx_rate_hz))
+    while n > 0 and trace.beacon_time(n - 1) >= duration_s:
+        n -= 1
+    while trace.beacon_time(n) < duration_s:
+        n += 1
+    return trace.gen_phase_s + np.arange(n) * (1.0 / trace.tx_rate_hz)
+
+
 def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
     """Beacon generation timestamps ``trace.beacon_time(k)`` within [0, duration)."""
-    out = []
-    t = trace.beacon_time(0)
-    while t < duration_s:
-        out.append(t)
-        t = trace.beacon_time(len(out))
-    return out
+    return _beacon_times(trace, duration_s).tolist()
 
 
 def _sample_grid(duration_s: float) -> tuple[float, ...]:

@@ -346,6 +346,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: real-time violation: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", [(), ("--mode", "realtime", "--null-sink")],
+                             ids=["batch", "realtime"])
+    def test_slot_vanishing_at_the_horizon_exits_2(self, mode, tmp_path, capsys):
+        # a 1e-300 s slot rounds away against a 1 s horizon, and with it the
+        # arbitration gap: transmissions would run back to back
+        code = run_cli("run", *mode, "--seed", "3", "--set", "scenario.vehicles=50",
+                       "--set", "run.duration_s=1", "--set", "mac.slot_time_us=1e-294",
+                       "--set", "mac.sifs_us=0", "--out", str(tmp_path / "x"))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: slot_time_s 1e-300 vanishes") and err.count("\n") == 1
+
     def test_invariant_breach_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
         from rtcsim.errors import SchedulingError
         import rtcsim.mac as mac_mod

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -190,6 +191,59 @@ class TestBackoff:
                    != KeyedBackoffRng(s + 1, 0, 15).draw(p) for s in range(8))
 
 
+def splitmix64(x):
+    """Scalar splitmix64 from its published increment, multipliers and shifts."""
+    mask = (1 << 64) - 1
+    z = (x + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def reference_draw(seed, cw_min, cw_max, vid, seq):
+    h = splitmix64(splitmix64(splitmix64(seed) ^ vid) ^ seq)
+    return cw_min + h % (cw_max - cw_min + 1)
+
+
+class TestKeyedDrawReference:
+    """``KeyedBackoffRng.draw`` against a scalar splitmix64 written here."""
+
+    SEEDS = (0, 1, 2**64 - 1)
+    # the last two: a window of 2**64 - 1 slots, and one of 2**64 that folds nothing
+    WINDOWS = ((0, 15), (0, 0), (5, 5), (3, 9), (1, 2**64 - 1), (0, 2**64 - 1))
+    VIDS = (0, 2**32 - 1)
+    # both sides of the first chunk boundaries, and a row grown by a jump
+    SEQS = (0, 1, 255, 256, 257, 511, 512, 513, 70_000)
+
+    @pytest.mark.parametrize("window", WINDOWS, ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_reference(self, seed, window):
+        rng = KeyedBackoffRng(seed, *window)
+        for vid in self.VIDS:
+            for seq in self.SEQS:
+                assert rng.draw(pkt(vid, 0.0, seq=seq)) == reference_draw(
+                    seed, *window, vid, seq), (vid, seq)
+
+    def test_far_sequence_number(self):
+        # MAX_RUN_BEACONS bounds a vehicle's sequence numbers
+        seed, window, vid = 2**64 - 1, (3, 9), 2**32 - 1
+        rng = KeyedBackoffRng(seed, *window)
+        for seq in (5_000_000, 4_999_999, 0, 256):
+            assert rng.draw(pkt(vid, 0.0, seq=seq)) == reference_draw(
+                seed, *window, vid, seq), seq
+
+    def test_draw_order_changes_no_counter(self):
+        packets = [pkt(vid, 0.0, seq=seq) for vid in (0, 5, 2**32 - 1)
+                   for seq in range(0, 1200, 7)]
+        in_order = KeyedBackoffRng(11, 3, 9)
+        expected = [in_order.draw(p) for p in packets]
+        shuffled = list(range(len(packets)))
+        random.Random(4).shuffle(shuffled)
+        rng = KeyedBackoffRng(11, 3, 9)
+        got = {i: rng.draw(packets[i]) for i in shuffled}
+        assert [got[i] for i in range(len(packets))] == expected
+
+
 class TestRescheduleAfterAifs:
     def test_moved_to_end_of_gap(self):
         p = pkt(2, 520e-6 + 29e-6)
@@ -266,6 +320,17 @@ class TestRun:
         events, stats = run(sc, MODEL, RADIO, PARAMS)
         assert len(events) == 10
         assert all(ev.outcome is Outcome.DECODED for ev in events)
+
+    def test_slot_that_vanishes_at_the_horizon_is_refused(self):
+        # half an ulp of the horizon rounds away when added to it; one ulp
+        # registers, and every gap between sensed transmissions stays open
+        sc = static_scenario([(0.0, 0.0), (10.0, 0.0), (20.0, 0.0)],
+                             [0.0, 1e-4, 2e-4], duration_s=1.0)
+        with pytest.raises(ValidationError, match="vanishes"):
+            run(sc, MODEL, RADIO, MacParams(slot_time_s=math.ulp(1.0) / 2, sifs_s=0.0))
+        events, _ = run(sc, MODEL, RADIO, MacParams(slot_time_s=math.ulp(1.0), sifs_s=0.0))
+        assert events
+        assert all(b.start_s > a.end_s for a, b in zip(events, events[1:]))
 
     def test_two_vehicles_staggered_phases_never_collide(self):
         params = MacParams(tx_interval_s=440e-6)

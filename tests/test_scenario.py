@@ -7,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from conftest import parked_trace, run_capped_cli
@@ -14,8 +16,8 @@ from rtcsim.cli import EXIT_CONFIG
 from rtcsim import scenario as scenario_module
 from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
-from rtcsim.scenario import (MAX_RUN_BEACONS, MobilityTrace, Scenario, Topology,
-                             TopologySpec, check_run, check_sample, generate_topology,
+from rtcsim.scenario import (MAX_COORD_M, MAX_RUN_BEACONS, MobilityTrace, Scenario,
+                             Topology, TopologySpec, check_run, check_sample, generate_topology,
                              generation_schedule, load_scenario, parse_trace_file,
                              position_at, save_scenario, speed_heading_at,
                              write_trace_files)
@@ -289,6 +291,59 @@ class TestBeaconPositions:
         save_scenario(sc, tmp_path)
         for scenario in (sc, load_scenario(tmp_path)):
             assert "beacon_positions" not in vars(scenario)
+
+
+@st.composite
+def trace_and_horizon(draw):
+    """A trace of 1-40 irregular samples, some on beacon instants, and a
+    horizon that is arbitrary or exactly a beacon instant."""
+    rate = draw(st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 7.5, 10.0]),
+                          st.floats(min_value=0.5, max_value=40.0)))
+    period = 1.0 / rate
+    phase = draw(st.one_of(st.just(0.0), st.just(-0.0),
+                           st.floats(min_value=0.0, max_value=period, exclude_max=True)))
+    instant = st.integers(0, 30).map(lambda k: phase + k * period)
+    times = sorted(set(draw(st.lists(
+        st.one_of(instant, st.floats(min_value=0.0, max_value=6.0)),
+        min_size=1, max_size=40))))
+    coordinate = st.one_of(st.just(-0.0), st.just(0.0),
+                           st.floats(min_value=-1e4, max_value=1e4),
+                           st.floats(min_value=-MAX_COORD_M, max_value=MAX_COORD_M))
+    if draw(st.booleans()):
+        xs = [draw(coordinate)] * len(times)  # parked, perhaps at -0.0
+    else:
+        xs = draw(st.lists(coordinate, min_size=len(times), max_size=len(times)))
+    ys = draw(st.lists(coordinate, min_size=len(times), max_size=len(times)))
+    n = len(times)
+    trace = MobilityTrace(1, tuple(times), tuple(xs), tuple(ys), (0.0,) * n,
+                          (0.0,) * n, rate, phase)
+    horizon = draw(st.one_of(instant.filter(lambda t: t > 0),
+                             st.floats(min_value=1e-3, max_value=6.0)))
+    return trace, horizon
+
+
+def moving_trace(rate):
+    return MobilityTrace(1, (0.0, 0.5, 2.0), (-0.0, 3.0, 1.0), (2.0, -0.0, -0.0),
+                         (0.0,) * 3, (0.0,) * 3, rate, 0.0)
+
+
+class TestBeaconTableProperty:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(trace_and_horizon())
+    # (horizon - phase) * rate rounds to one beacon too many: the horizon is
+    # beacon_time(12) itself, and 13 is its ceiling
+    @example((moving_trace(10.0), 1.2000000000000002))
+    # and to one too few: 12 beacons lie below this horizon, whose product is 11
+    @example((moving_trace(12.0), 0.9166666666666667))
+    def test_table_is_position_at_on_the_schedule(self, case):
+        trace, duration_s = case
+        sc = Scenario(parked_trace(0, (0.0, 0.0), (0.0,)), (trace,), duration_s, 0)
+        gens = generation_schedule(trace, duration_s)
+        expected = []
+        while trace.beacon_time(len(expected)) < duration_s:
+            expected.append(trace.beacon_time(len(expected)))
+        assert repr(gens) == repr(expected)
+        assert repr(sc.beacon_positions[1]) == repr([position_at(trace, g) for g in gens])
 
 
 class TestGenerationSchedule:
@@ -632,6 +687,17 @@ class TestScenarioInvariants:
         columns[field] = (0.0, value) if field else (value, 1.0)
         with pytest.raises(ValidationError, match="a trace sample needs"):
             MobilityTrace(1, *columns)
+
+    def test_coordinates_bounded_so_legs_stay_finite(self):
+        beyond = math.nextafter(MAX_COORD_M, math.inf)
+        for x, y in ((beyond, 0.0), (0.0, -beyond)):
+            with pytest.raises(ValidationError, match="a trace sample needs"):
+                check_sample(0.0, x, y, 0.0, 0.0)
+        # the widest leg allowed interpolates without overflow or warning
+        trace = MobilityTrace(1, (0.0, 1.0), (-MAX_COORD_M, MAX_COORD_M),
+                              (MAX_COORD_M, -MAX_COORD_M), (0.0, 0.0), (0.0, 0.0))
+        sc = Scenario(parked_trace(0, (0.0, 0.0), (0.0,)), (trace,), 1.0, 0)
+        assert sc.beacon_positions[1][5] == position_at(trace, 0.5) == (0.0, 0.0)
 
     @pytest.mark.parametrize("short", range(5))
     def test_columns_of_unequal_length_rejected(self, short):
