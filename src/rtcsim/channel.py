@@ -5,7 +5,11 @@ loss grows as ``10 * n_k * log10(d / d_k)`` and the regions accumulate, so the
 curve is continuous and (for zero shadowing) non-decreasing. Two named
 configurations are provided: a classic three-region profile and a
 field-calibrated-style profile with deterministic, distance-quantized
-lognormal shadowing.
+lognormal shadowing. Each model binds its curve once, as one function of
+distance (``PathLossModel.loss_curve``) holding the region boundaries, the
+losses summed at them, the exponents and any fade; ``path_loss_db`` checks
+the sign and calls it, and capture resolution and the shadowed hidden test
+call it directly.
 
 On top of the loss curve sit the three questions the scheduler asks:
 
@@ -75,17 +79,39 @@ class PathLossModel:
             raise ValidationError("shadowing sigma must be non-negative")
 
     @cached_property
-    def boundary_losses_db(self) -> tuple[float, ...]:
-        """Shadow-free loss at each region boundary.
+    def loss_curve(self) -> Callable[[float], float]:
+        """The curve as one function of a non-negative distance.
 
-        Summed left to right, the order in which a walk over the regions
-        would accumulate them, so adding the partial region on top gives
-        the same float as that walk.
+        The loss at the boundary of the region holding ``d`` plus
+        ``10 * n_k * log10(d / d_k)`` within it and, when the model carries
+        shadowing, ``sigma * Z(d)`` where Z is the frozen per-quantum normal
+        draw. The boundary losses are summed left to right, the order in
+        which a walk over the regions would accumulate them, so adding the
+        partial region on top gives the same float as that walk. Built once
+        per model; the hot paths call it directly.
         """
-        losses = [self.ref_loss_db]
-        for lo, hi, n in zip(self.boundaries_m, self.boundaries_m[1:], self.exponents):
-            losses.append(losses[-1] + 10.0 * n * math.log10(hi / lo))
-        return tuple(losses)
+        bounds = self.boundaries_m
+        d0 = bounds[0]
+        ref = self.ref_loss_db
+        base = [ref]
+        for lo, hi, n in zip(bounds, bounds[1:], self.exponents):
+            base.append(base[-1] + 10.0 * n * math.log10(hi / lo))
+        slopes = tuple(10.0 * n for n in self.exponents)
+        sigma, seed = self.shadowing_sigma_db, self.shadowing_seed
+        shadowed = sigma > 0.0
+        log10, draw, quantum = math.log10, _shadow_draw, SHADOWING_QUANTUM_M
+
+        def loss(d: float) -> float:
+            if d >= d0:
+                k = bisect_right(bounds, d) - 1
+                value = base[k] + slopes[k] * log10(d / bounds[k])
+            else:
+                value = ref
+            if shadowed:
+                value += sigma * draw(seed, int(d // quantum))
+            return value
+
+        return loss
 
 
 def default_three_log_distance() -> PathLossModel:
@@ -139,25 +165,10 @@ def _shadow_draw(seed: int, quantum: int) -> float:
 
 
 def path_loss_db(model: PathLossModel, d_m: float) -> float:
-    """Attenuation in dB at distance ``d_m``.
-
-    The loss at the boundary of the region holding ``d_m`` plus
-    ``10 * n_k * log10(d / d_k)`` within it and, when the model carries
-    shadowing, ``sigma * Z(d)`` where Z is the frozen per-quantum normal draw.
-    """
+    """Attenuation in dB at distance ``d_m`` (``PathLossModel.loss_curve``)."""
     if d_m < 0:
         raise ValidationError(f"distance must be non-negative, got {d_m}")
-    bounds = model.boundaries_m
-    if d_m >= bounds[0]:
-        k = bisect_right(bounds, d_m) - 1
-        loss = (model.boundary_losses_db[k]
-                + 10.0 * model.exponents[k] * math.log10(d_m / bounds[k]))
-    else:
-        loss = model.ref_loss_db
-    if model.shadowing_sigma_db > 0.0:
-        quantum = int(d_m // SHADOWING_QUANTUM_M)
-        loss += model.shadowing_sigma_db * _shadow_draw(model.shadowing_seed, quantum)
-    return loss
+    return model.loss_curve(d_m)
 
 
 def rss_dbm(radio: RadioConfig, model: PathLossModel, d_m: float) -> float:
@@ -218,8 +229,8 @@ def hidden_predicate(radio: RadioConfig, model: PathLossModel) -> Callable[[floa
     shadow-free model, the curve for a shadowed one. Built once per run."""
     d_star = hidden_range_m(radio, model)
     if d_star is None:
-        cs = radio.cs_threshold_dbm
-        return lambda d: rss_dbm(radio, model, d) < cs
+        p, cs, loss = radio.tx_power_dbm, radio.cs_threshold_dbm, model.loss_curve
+        return lambda d: p - loss(d) < cs
     return lambda d: d >= d_star
 
 

@@ -364,11 +364,15 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
     capture margin over the noise floor; one that fails either bar is
     reported as below sensitivity.
     """
-    hv_distance = chan.distance_m(current.tx_position, hv_position)
-    arrivals = [(current, chan.rss_dbm(radio, model, hv_distance))]
+    hx, hy = hv_position
+    p, loss = radio.tx_power_dbm, model.loss_curve
+    x, y = current.tx_position
+    hv_distance = math.hypot(x - hx, y - hy)
+    # rss_dbm on distance_m, spelled out: the same operations in the same order
+    arrivals = [(current, p - loss(hv_distance))]
     for pkt in overlap:
-        arrivals.append((pkt, chan.rss_dbm(radio, model,
-                                           chan.distance_m(pkt.tx_position, hv_position))))
+        x, y = pkt.tx_position
+        arrivals.append((pkt, p - loss(math.hypot(x - hx, y - hy))))
     winner = chan.resolve_capture(radio, arrivals)
     if winner is not None:
         outcome = Outcome.DECODED
@@ -622,9 +626,11 @@ EVENT_LOG_HEADER = "start_s,end_s,transmitter_id,outcome,winner_id,n_colliders,h
 
 
 def format_event_row(ev: TxEvent) -> str:
-    winner = "" if ev.winner_id is None else str(ev.winner_id)
-    return (f"{ev.start_s!r},{ev.end_s!r},{ev.transmitter_id},"
-            f"{ev.outcome.value},{winner},{len(ev.colliders)},{ev.hv_distance_m!r}")
+    winner = ev.winner
+    # the fields themselves, not the id properties or Enum.value's descriptor
+    return (f"{ev.start_s!r},{ev.end_s!r},{ev.transmitter.vehicle_id},"
+            f"{ev.outcome._value_},{'' if winner is None else winner.vehicle_id},"
+            f"{len(ev.colliders)},{ev.hv_distance_m!r}")
 
 
 def write_event_log(events: list[TxEvent], path) -> None:

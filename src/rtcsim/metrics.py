@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 from . import channel as chan
 from .channel import PathLossModel, RadioConfig
 from .errors import ValidationError
 from .mac import Outcome, RunStats, TxEvent
-from .scenario import Scenario, position_at, write_lines
+# position_at is unused here, but perfbench's tracer wraps metrics.position_at
+from .scenario import (Scenario, _beacon_times, _positions_at, position_at,
+                       write_lines)
 
 DEFAULT_CBP_WINDOW_S = 0.1
 DEFAULT_PER_BIN_M = 25.0
@@ -155,10 +156,13 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
     """
     n_bins = per_bin_count(max_distance_m, bin_width_m)
     hv_trace = scenario.traces_by_id[hv_id]
-    hv_fixed = hv_trace.fixed_position
-    decoded = {ev.winner.key for ev in events
-               if ev.outcome is Outcome.DECODED and ev.winner is not None}
+    decoded: dict[int, set[int]] = {}
+    for ev in events:
+        winner = ev.winner
+        if ev.outcome is Outcome.DECODED and winner is not None:
+            decoded.setdefault(winner.vehicle_id, set()).add(winner.seq)
 
+    hypot = math.hypot
     last_bin = n_bins - 1
     sent = [0] * n_bins
     errors = [0] * n_bins
@@ -166,17 +170,18 @@ def compute_per(events: Sequence[TxEvent], scenario: Scenario, hv_id: int,
         vid = trace.vehicle_id
         if vid == hv_id:
             continue
-        positions = scenario.beacon_positions[vid]
-        hv_at = (repeat(hv_fixed) if hv_fixed is not None
-                 else (position_at(hv_trace, trace.beacon_time(seq))
-                       for seq in range(len(positions))))
-        for seq, (pos, hv_pos) in enumerate(zip(positions, hv_at)):
-            d = chan.distance_m(pos, hv_pos)
+        # the host at each of this vehicle's beacon instants, as the beacon table
+        # places the vehicle itself (a parked host is its one position)
+        hv_at = _positions_at(hv_trace, _beacon_times(trace, scenario.duration_s))
+        got = decoded.get(vid, ())
+        for seq, ((x, y), (hx, hy)) in enumerate(zip(scenario.beacon_positions[vid],
+                                                     hv_at)):
+            d = hypot(x - hx, y - hy)
             if d >= max_distance_m:
                 continue
             idx = min(int(d / bin_width_m), last_bin)
             sent[idx] += 1
-            if (vid, seq) not in decoded:
+            if seq not in got:
                 errors[idx] += 1
     bins = [PerBin(k * bin_width_m, min((k + 1) * bin_width_m, max_distance_m),
                    sent[k], errors[k]) for k in range(n_bins)]

@@ -6,6 +6,8 @@ import struct
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtcsim.channel import (SHADOWING_QUANTUM_M, PathLossModel, RadioConfig,
                             _shadow_draw, default_fowlerville,
@@ -270,6 +272,64 @@ class TestHiddenRange:
 
     def test_shadowed_model_has_no_range(self):
         assert hidden_range_m(RadioConfig(), default_fowlerville()) is None
+
+
+@st.composite
+def curve_models(draw, shadowed=None):
+    """Models of 1-5 regions, flat ones among them, with or without a fade."""
+    bounds = [draw(st.floats(min_value=0.01, max_value=100.0))]
+    for _ in range(draw(st.integers(0, 4))):
+        bounds.append(bounds[-1] * draw(st.floats(min_value=1.01, max_value=50.0)))
+    exponent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6.0))
+    exponents = tuple(draw(exponent) for _ in bounds)
+    if shadowed is None:
+        shadowed = draw(st.booleans())
+    sigma = draw(st.floats(min_value=0.1, max_value=8.0)) if shadowed else 0.0
+    return PathLossModel(tuple(bounds), exponents,
+                         draw(st.floats(min_value=0.0, max_value=100.0)),
+                         sigma, draw(st.integers(0, 2**32)))
+
+
+def probe_distances(model: PathLossModel, far: float, edge: int) -> list[float]:
+    """0, below the reference distance, each boundary and shadow-quantum edge
+    with its float neighbours, and one distance drawn up to 1e307."""
+    centres = [*model.boundaries_m, float(edge), float(math.floor(far)), far]
+    centres += [float(math.floor(b)) for b in model.boundaries_m]
+    out = [0.0, model.boundaries_m[0] / 2.0]
+    for c in centres:
+        out += [math.nextafter(c, 0.0), c, math.nextafter(c, math.inf)]
+    return out
+
+
+class TestBoundCurve:
+    """``PathLossModel.loss_curve`` against the region walk of its docstring
+    (``sequential_path_loss``), which does not go through the closure."""
+
+    @settings(max_examples=600, deadline=None, database=None)
+    @given(model=curve_models(), tx=st.floats(min_value=-30.0, max_value=40.0),
+           far=st.floats(min_value=0.0, max_value=1e307), edge=st.integers(0, 10**6))
+    def test_curve_path_loss_and_rss_are_the_region_walk(self, model, tx, far, edge):
+        radio = RadioConfig(tx_power_dbm=tx)
+        for d in probe_distances(model, far, edge):
+            walk = sequential_path_loss(model, d)
+            assert repr(model.loss_curve(d)) == repr(walk), d
+            assert repr(path_loss_db(model, d)) == repr(walk), d
+            assert repr(rss_dbm(radio, model, d)) == repr(tx - walk), d
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(model=curve_models(shadowed=True),
+           cs=st.floats(min_value=-110.0, max_value=-60.0),
+           far=st.floats(min_value=0.0, max_value=1e307), edge=st.integers(0, 10**4),
+           crossing=st.integers(0, 3))
+    def test_shadowed_hidden_predicate_is_is_hidden(self, model, cs, far, edge, crossing):
+        distances = probe_distances(model, far, edge)
+        # the carrier-sense threshold meets the signal at one of the probed centres
+        d_cross = distances[min(crossing * 3 + 3, len(distances) - 1)]
+        radio = RadioConfig(tx_power_dbm=cs + sequential_path_loss(model, d_cross),
+                            cs_threshold_dbm=cs, rx_sensitivity_dbm=cs + 3.0)
+        hidden = hidden_predicate(radio, model)
+        for d in distances:
+            assert hidden(d) == is_hidden(radio, model, (0.0, 0.0), (d, 0.0)), d
 
 
 class TestCapture:

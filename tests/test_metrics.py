@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parked_trace, run_capped_cli
 from rtcsim.channel import (PathLossModel, RadioConfig,
@@ -165,6 +167,59 @@ class TestComputePer:
     def test_bin_width_validation(self):
         with pytest.raises(ValidationError):
             compute_per([], static_scenario(1), hv_id=0, bin_width_m=0.0)
+
+
+@st.composite
+def per_cases(draw):
+    """A scenario of 1-4 RVs and a parked or moving host, a random set of
+    decoded and lost (vehicle_id, seq) keys, and histogram settings."""
+    duration = draw(st.floats(min_value=0.05, max_value=2.0))
+    coordinate = st.floats(min_value=-500.0, max_value=500.0)
+
+    def trace(vid):
+        rate = draw(st.sampled_from([1.0, 3.0, 10.0, 12.5]))
+        phase = draw(st.floats(min_value=0.0, max_value=1.0 / rate, exclude_max=True))
+        times = sorted(set(draw(st.lists(st.floats(min_value=0.0, max_value=2.5),
+                                         min_size=1, max_size=6))))
+        n = len(times)
+        if draw(st.booleans()):
+            xs, ys = (draw(coordinate),) * n, (draw(coordinate),) * n
+        else:
+            xs = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+            ys = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+        return MobilityTrace(vid, tuple(times), xs, ys, (0.0,) * n, (0.0,) * n,
+                             rate, phase)
+
+    rvs = tuple(trace(vid) for vid in range(1, draw(st.integers(1, 4)) + 1))
+    sc = Scenario(trace(0), rvs, duration, 0)
+    keys = st.tuples(st.integers(0, 5), st.integers(0, 25))
+    outcome = st.sampled_from([Outcome.DECODED, Outcome.COLLIDED])
+    events = [make_event(vid, 0.0, seq=seq, outcome=draw(outcome))
+              for vid, seq in draw(st.lists(keys, max_size=40))]
+    bin_width = draw(st.floats(min_value=5.0, max_value=300.0))
+    return sc, events, bin_width, draw(st.floats(min_value=50.0, max_value=800.0))
+
+
+class TestPerProperty:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(per_cases())
+    def test_matches_a_per_beacon_brute_force(self, case):
+        sc, events, bin_width, max_distance = case
+        per = compute_per(events, sc, hv_id=0, bin_width_m=bin_width,
+                          max_distance_m=max_distance)
+        decoded = {ev.winner.key for ev in events if ev.outcome is Outcome.DECODED}
+        sent = [0] * len(per.bins)
+        errors = [0] * len(per.bins)
+        for trace in sc.rv_traces:
+            for seq, gen in enumerate(generation_schedule(trace, sc.duration_s)):
+                d = chan.distance_m(position_at(trace, gen), position_at(sc.hv_trace, gen))
+                if d >= max_distance:
+                    continue
+                k = min(int(d / bin_width), len(per.bins) - 1)
+                sent[k] += 1
+                errors[k] += (trace.vehicle_id, seq) not in decoded
+        assert [b.sent for b in per.bins] == sent
+        assert [b.errors for b in per.bins] == errors
 
 
 class TestRssCurve:
