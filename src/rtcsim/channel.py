@@ -257,10 +257,10 @@ def resolve_capture(radio: RadioConfig, arrivals: Sequence[tuple[object, float]]
             s2 = rss
     if len(arrivals) == 1:
         s2 = radio.noise_floor_dbm
-    else:
-        # exact dB tie at the top: no receiver can lock on
-        if any(rss == s1 for packet, rss in arrivals if packet is not best):
-            return None
+    elif s2 == s1:
+        # exact dB tie at the top: no receiver can lock on. The running s2
+        # reaches s1 only from a second arrival holding the same level
+        return None
     if s1 < radio.rx_sensitivity_dbm:
         return None
     if s1 - s2 < radio.capture_margin_db:

@@ -5,16 +5,21 @@ ordered by scheduled channel-access time. The head packet opens a
 transmission; every queue head falling inside its influence window is then
 handled by exactly one of five overlap rules:
 
-* within the propagation delay of the start: the sender cannot be sensed
-  yet, the head transmits too and the packets collide (COLLISION_PD);
 * hidden from the sender, anywhere inside the on-air interval: the head
   senses an idle channel and collides (COLLISION_HIDDEN);
+* sensed, within the propagation delay of the start and while the sender
+  is on air: the sender cannot be sensed yet, the head transmits too and
+  the packets collide (COLLISION_PD);
 * sensed, inside the on-air interval: the head defers with a random
   backoff, consumed as idle slots after the inter-frame space (BACKOFF);
 * inside the inter-frame space after the transmission: the head moves to
   the end of that space, keeping it idle (AIFS_WAIT);
 * beyond the inter-frame space: the transmission is closed and resolved
   (POST_TX).
+
+The scan applies these rules in the reference replay's order, one pass per
+queue head on its heap key; ``overlap_band`` spells the same rule on plain
+numbers, and a per-pair propagation delay is worked out only in that mode.
 
 Reception is evaluated at the host vehicle only: the strongest overlapping
 packet is decoded when it clears the sensitivity floor and the capture
@@ -137,20 +142,17 @@ class OverlapState(Enum):
     POST_TX = "post_tx"
 
 
-# Reading a member through its Enum class runs a descriptor (about 0.2 us
-# on CPython 3.11, several times per queue head); the band rule and the
-# scheduler loop read these module names instead.
-_COLLISION_PD = OverlapState.COLLISION_PD
-_COLLISION_HIDDEN = OverlapState.COLLISION_HIDDEN
-_BACKOFF = OverlapState.BACKOFF
-_AIFS_WAIT = OverlapState.AIFS_WAIT
-_POST_TX = OverlapState.POST_TX
-
-
 class Outcome(Enum):
     DECODED = "decoded"
     COLLIDED = "collided"
     BELOW_SENSITIVITY = "below_sensitivity"
+
+
+# Reading a member through its Enum class runs a descriptor (about 0.2 us on
+# CPython 3.11); the band rule and capture resolution read these module names
+# instead, unpacked in definition order.
+_COLLISION_PD, _COLLISION_HIDDEN, _BACKOFF, _AIFS_WAIT, _POST_TX = OverlapState
+_DECODED, _COLLIDED, _BELOW_SENSITIVITY = Outcome
 
 
 @dataclass(slots=True)
@@ -282,29 +284,29 @@ class KeyedBackoffRng:
         return row
 
 
+def _ordering_breach(diff: float) -> SchedulingError:
+    return SchedulingError(f"queue ordering breach: a packet is scheduled "
+                           f"{-diff:.3e}s before the transmission it overlaps")
+
+
 def overlap_band(diff: float, hidden: bool, pd: float, tx: float,
                  tx_aifs: float) -> OverlapState:
     """The overlap rule on plain numbers: ``diff`` after a transmission start.
 
     ``tx`` is the transmission interval and ``tx_aifs`` the interval plus
-    the arbitration gap. The bands are, in order of precedence: hidden and
-    diff <= tx -> COLLISION_HIDDEN; diff <= pd -> COLLISION_PD;
-    diff <= tx -> BACKOFF; diff <= tx_aifs -> AIFS_WAIT; beyond -> POST_TX.
-    All upper bounds are inclusive.
+    the arbitration gap. While the sender is on air (diff <= tx) a hidden
+    head -> COLLISION_HIDDEN, else diff <= pd -> COLLISION_PD, else BACKOFF;
+    after it, diff <= tx_aifs -> AIFS_WAIT and beyond -> POST_TX. All upper
+    bounds are inclusive. A per-pair delay may exceed ``tx``; it then covers
+    the whole on-air interval and nothing after it.
     """
     if diff < 0:
-        raise SchedulingError(
-            f"queue ordering breach: a packet is scheduled {-diff:.3e}s "
-            f"before the transmission it overlaps")
-    if hidden and diff <= tx:
-        return _COLLISION_HIDDEN
-    if diff <= pd:
-        return _COLLISION_PD
+        raise _ordering_breach(diff)
     if diff <= tx:
-        return _BACKOFF
-    if diff <= tx_aifs:
-        return _AIFS_WAIT
-    return _POST_TX
+        if hidden:
+            return _COLLISION_HIDDEN
+        return _COLLISION_PD if diff <= pd else _BACKOFF
+    return _AIFS_WAIT if diff <= tx_aifs else _POST_TX
 
 
 def classify(current: Packet, next_pkt: Packet, params: MacParams,
@@ -375,20 +377,14 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
         arrivals.append((pkt, p - loss(math.hypot(x - hx, y - hy))))
     winner = chan.resolve_capture(radio, arrivals)
     if winner is not None:
-        outcome = Outcome.DECODED
-    elif len(arrivals) >= 2:
-        outcome = Outcome.COLLIDED
+        outcome = _DECODED
+    elif overlap:
+        outcome = _COLLIDED
     else:
-        outcome = Outcome.BELOW_SENSITIVITY
-    return TxEvent(
-        transmitter=current,
-        start_s=current.sched_time_s,
-        end_s=current.sched_time_s + current.duration_s,
-        colliders=tuple(overlap),
-        outcome=outcome,
-        winner=winner,
-        hv_distance_m=hv_distance,
-    )
+        outcome = _BELOW_SENSITIVITY
+    start = current.sched_time_s
+    return TxEvent(current, start, start + current.duration_s, tuple(overlap),
+                   outcome, winner, hv_distance)
 
 
 def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
@@ -420,7 +416,6 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     tx_aifs = tx + aifs
     fixed_pd = params.pd_s if params.pd_mode is PdMode.FIXED else None
     hidden_at = chan.hidden_predicate(radio, model)
-    decoded_outcome, collided_outcome = Outcome.DECODED, Outcome.COLLIDED
     generated = len(heap)
     expired = decoded = collided = below = n_events = queued = 0
     last_start = -math.inf
@@ -460,29 +455,30 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         boundary = end + aifs
         cx, cy = current.tx_position
 
+        # the band rule in the oracle's order (``overlap_band`` spells it on
+        # plain numbers): the propagation-delay band applies only while the
+        # sender is on air; a heap key is its packet's sched_time_s
         while heap:
-            head = heap[0][3]
-            diff = head.sched_time_s - start
-            if diff > tx:
-                hidden = False
-            else:
+            key = heap[0][0]
+            diff = key - start
+            if diff <= tx:
+                if diff < 0:
+                    raise _ordering_breach(diff)
+                head = heappop(heap)[3]
                 hx, hy = head.tx_position
-                hidden = hidden_at(math.hypot(cx - hx, cy - hy))
-            pd = fixed_pd if fixed_pd is not None else params.pd_for(current, head)
-            state = overlap_band(diff, hidden, pd, tx, tx_aifs)
-            if state is _POST_TX:
-                break
-            if state is _AIFS_WAIT and head.sched_time_s >= boundary:
-                # already parked on the first idle instant: no longer interferes
-                break
-            heappop(heap)
-            if state is _COLLISION_PD or state is _COLLISION_HIDDEN:
-                overlap.append(head)
-                continue
-            if state is _BACKOFF:
+                if (hidden_at(math.hypot(cx - hx, cy - hy))
+                        or diff <= (fixed_pd if fixed_pd is not None
+                                    else params.pd_for(current, head))):
+                    overlap.append(head)
+                    continue
                 apply_backoff(head, rng, params, end)
-            else:
+            elif diff <= tx_aifs and key < boundary:
+                # inside the inter-frame space; a head already parked on its
+                # end no longer interferes and closes the transmission
+                head = heappop(heap)[3]
                 reschedule_after_aifs(head, end, params)
+            else:
+                break
             sched = head.sched_time_s
             if sched >= duration:
                 # its vehicle's later beacons expire with it (see RunStats)
@@ -498,16 +494,17 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
                                      position_at(hv_trace, start))
         n_events += 1
         outcome = event.outcome
-        if outcome is decoded_outcome:
+        if outcome is _DECODED:
             decoded += 1
             collided += len(overlap)
-        elif outcome is collided_outcome:
+        elif outcome is _COLLIDED:
             collided += 1 + len(overlap)
         else:
             below += 1
 
-        # each sender's next beacon
-        for parent in (current, *overlap):
+        # each sender's next beacon; the event holds its own tuple of colliders
+        overlap.append(current)
+        for parent in overlap:
             vid = parent.vehicle_id
             seq = parent.seq + 1
             gen = traces[vid].beacon_time(seq)

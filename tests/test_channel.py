@@ -369,6 +369,27 @@ class TestCapture:
                 assert sum(1 for _, rss in arrivals if rss == top) == 1
                 assert arrivals[winner][1] == top
 
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(levels=st.lists(st.one_of(st.sampled_from([-60.0, -65.0, -91.0, -99.0]),
+                                     st.floats(-120.0, -20.0)),
+                           min_size=1, max_size=6),
+           margin=st.one_of(st.just(0.0), st.floats(0.0, 20.0)))
+    def test_running_tie_test_is_the_scan_over_the_others(self, levels, margin):
+        radio = RadioConfig(capture_margin_db=margin)
+        arrivals = [(object(), rss) for rss in levels]
+        # the rule with the tie found by scanning every arrival but the first
+        # strongest one
+        s1 = max(levels)
+        best = arrivals[levels.index(s1)][0]
+        others = [rss for packet, rss in arrivals if packet is not best]
+        if any(rss == s1 for rss in others):
+            expected = None
+        else:
+            s2 = max(others) if others else radio.noise_floor_dbm
+            clears = s1 >= radio.rx_sensitivity_dbm and s1 - s2 >= margin
+            expected = best if clears else None
+        assert resolve_capture(radio, arrivals) is expected
+
     def test_radio_validation(self):
         with pytest.raises(ValidationError):
             RadioConfig(cs_threshold_dbm=-80.0, rx_sensitivity_dbm=-91.0)

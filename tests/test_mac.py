@@ -124,6 +124,20 @@ class TestClassify:
                 state = classify(pkt(1, 0.0), pkt(2, diff), PARAMS, hidden=hidden)
                 assert state is expected, (diff, hidden, state)
 
+    def test_per_pair_delay_stops_at_the_airtime(self):
+        # 200 km apart the per-pair delay outlasts the airtime: the whole
+        # on-air interval is its band, and nothing after it
+        params = MacParams(pd_mode=PdMode.PER_PAIR_SPEED_OF_LIGHT)
+        tx = params.tx_interval_s
+        far = (200_000.0, 0.0)
+        assert params.pd_for(pkt(1, 0.0), pkt(2, 0.0, pos=far)) > tx + params.aifs_s
+        for diff, expected in [(tx, OverlapState.COLLISION_PD),
+                               (math.nextafter(tx, 1.0), OverlapState.AIFS_WAIT),
+                               (tx + params.aifs_s, OverlapState.AIFS_WAIT),
+                               (tx + 2 * params.aifs_s, OverlapState.POST_TX)]:
+            state = classify(pkt(1, 0.0), pkt(2, diff, pos=far), params, hidden=False)
+            assert state is expected, diff
+
     def test_negative_diff_raises(self):
         with pytest.raises(SchedulingError):
             classify(pkt(1, 1.0), pkt(2, 0.5), PARAMS, hidden=False)
