@@ -63,21 +63,6 @@ class PerHistogram:
         return sum(b.errors for b in self.bins)
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not intervals:
-        return []
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi:
-            if hi > mhi:
-                merged[-1] = (mlo, hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _check_length(points: float, what: str) -> None:
     if not points <= MAX_SERIES_POINTS:
         raise ValidationError(f"{what} gives {points:.7g} points; the limit is "
@@ -109,20 +94,29 @@ def compute_cbp(events: Sequence[TxEvent], scenario: Scenario,
 
     An event counts while its transmitter's signal at the HV reaches the
     carrier-sense threshold (the HV's own transmissions trivially do).
-    Overlapping occupancies are unioned, not summed.
+    Overlapping occupancies are unioned, not summed. ``events`` must come in
+    start order, as the runners emit them: each busy interval extends the
+    last merged one or starts a new one. An event that starts before the
+    one ahead of it raises ValidationError.
     """
     duration = scenario.duration_s
     n_windows = cbp_window_count(duration, window_s)
     hidden_at = chan.hidden_predicate(radio, model)
-    busy = []
+    busy: list[list[float]] = []  # merged [start, end] intervals
+    last_start = -math.inf
     for ev in events:
-        if hidden_at(ev.hv_distance_m):
-            continue
         lo = ev.start_s
+        if lo < last_start:
+            raise ValidationError(f"compute_cbp needs events in start order; "
+                                  f"{lo!r} s follows {last_start!r} s")
+        last_start = lo
         hi = min(ev.end_s, duration)
-        if hi > lo:
-            busy.append((lo, hi))
-    busy = _merge_intervals(busy)
+        if hi <= lo or hidden_at(ev.hv_distance_m):
+            continue
+        if busy and lo <= busy[-1][1]:
+            busy[-1][1] = max(busy[-1][1], hi)
+        else:
+            busy.append([lo, hi])
 
     samples = []
     total_busy = 0.0

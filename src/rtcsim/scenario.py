@@ -12,10 +12,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -35,8 +38,9 @@ DEFAULT_TX_RATE_HZ = 10.0
 
 # Most beacons a run may generate (duration x the vehicles' summed rates; a
 # scenario still to be generated adds 1 / SAMPLE_PERIOD_S samples per
-# vehicle-second). At ~280 bytes each, measured on a 1000-vehicle disk run,
-# the limit holds a run under 1.5 GB; a larger one is refused before it starts.
+# vehicle-second). At ~220 bytes each, measured on a 1000-vehicle disk run,
+# the limit holds a generated run under 1.2 GB (a loaded scenario counts only
+# its beacons, ~370 bytes each there: ~1.9 GB); a larger one is refused first.
 MAX_RUN_BEACONS = 5_000_000
 
 # Largest coordinate magnitude of a trace sample: the difference of two
@@ -97,15 +101,16 @@ def check_sample(time_s: float, x_m: float, y_m: float, speed_mps: float,
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """One vehicle's path, one tuple per trace-file column, plus its beacon
-    generation parameters."""
+    """One vehicle's path, one ``array('d')`` per trace-file column (the
+    constructor packs any other sequence of numbers), plus its beacon generation
+    parameters. Traces may share a column, so columns are never mutated."""
 
     vehicle_id: int
-    time_s: tuple[float, ...]
-    x_m: tuple[float, ...]
-    y_m: tuple[float, ...]
-    speed_mps: tuple[float, ...]
-    heading_rad: tuple[float, ...]
+    time_s: array
+    x_m: array
+    y_m: array
+    speed_mps: array
+    heading_rad: array
     tx_rate_hz: float = DEFAULT_TX_RATE_HZ
     gen_phase_s: float = 0.0
 
@@ -113,19 +118,29 @@ class MobilityTrace:
         # the wire's vehicle_id field is u32
         if not 0 <= self.vehicle_id < 1 << 32:
             raise ValidationError(f"vehicle_id must lie in [0, 2**32), got {self.vehicle_id}")
+        for name in ("time_s", "x_m", "y_m", "speed_mps", "heading_rad"):
+            column = getattr(self, name)
+            if type(column) is not array or column.typecode != "d":
+                try:
+                    object.__setattr__(self, name, array("d", column))
+                except (TypeError, OverflowError) as exc:
+                    raise ValidationError(f"vehicle {self.vehicle_id}: {name} {exc}") from None
         times = self.time_s
         if not times:
             raise ValidationError("trace needs at least one sample")
         columns = (times, self.x_m, self.y_m, self.speed_mps, self.heading_rad)
         if any(len(column) != len(times) for column in columns):
             raise ValidationError(f"vehicle {self.vehicle_id}: trace columns differ in length")
-        for sample in zip(*columns):
-            check_sample(*sample)
-        for a, b in zip(times, times[1:]):
-            if b <= a:
-                raise ValidationError(
-                    f"vehicle {self.vehicle_id}: sample times must be "
-                    f"strictly increasing (t={b})")
+        # unpacked so that zip reuses one tuple: a read from a packed column
+        # already makes a float per value
+        for t, x, y, speed, heading in zip(*columns):
+            check_sample(t, x, y, speed, heading)
+        t = np.frombuffer(times)
+        later = t[1:] <= t[:-1]
+        if later.any():
+            raise ValidationError(
+                f"vehicle {self.vehicle_id}: sample times must be "
+                f"strictly increasing (t={float(t[1:][later.argmax()])})")
         if self.tx_rate_hz <= 0:
             raise ValidationError("tx_rate_hz must be positive")
         if not 0.0 <= self.gen_phase_s < 1.0 / self.tx_rate_hz:
@@ -268,15 +283,15 @@ def generation_schedule(trace: MobilityTrace, duration_s: float) -> list[float]:
     return _beacon_times(trace, duration_s).tolist()
 
 
-def _sample_grid(duration_s: float) -> tuple[float, ...]:
+def _sample_grid(duration_s: float) -> array:
     n = int(math.ceil(duration_s / SAMPLE_PERIOD_S - 1e-9))
-    times = [k * SAMPLE_PERIOD_S for k in range(n + 1)]
+    times = array("d", [k * SAMPLE_PERIOD_S for k in range(n + 1)])
     if times[-1] < duration_s:
         times.append(duration_s)
-    return tuple(times)
+    return times
 
 
-def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[tuple[float, ...], ...]:
+def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[array, ...]:
     """x, y, speed and heading columns at ``times``."""
     # uniform over the disk area, then constant-speed circular motion about
     # the center; the 1 m clamp keeps the angular rate finite near the middle
@@ -284,10 +299,11 @@ def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[tuple[float, ...], .
     theta0 = rng.uniform(0.0, TWO_PI)
     omega = speed_mps / max(r, 1.0)
     thetas = [theta0 + omega * t for t in times]
-    return (tuple([r * math.cos(theta) for theta in thetas]),
-            tuple([r * math.sin(theta) for theta in thetas]),
-            (omega * r,) * len(times),
-            tuple([(theta + 0.5 * math.pi) % TWO_PI for theta in thetas]))
+    cos, sin, quarter = math.cos, math.sin, 0.5 * math.pi
+    return (array("d", [r * cos(theta) for theta in thetas]),
+            array("d", [r * sin(theta) for theta in thetas]),
+            array("d", [omega * r]) * len(times),
+            array("d", [(theta + quarter) % TWO_PI for theta in thetas]))
 
 
 def _segment_position(s0: float, direction: int, speed: float, t: float,
@@ -303,7 +319,7 @@ def _segment_position(s0: float, direction: int, speed: float, t: float,
     return lo + 2.0 * span - m, -1.0
 
 
-def _road_columns(rng, lo, hi, axis, speed_mps, times) -> tuple[tuple[float, ...], ...]:
+def _road_columns(rng, lo, hi, axis, speed_mps, times) -> tuple[array, ...]:
     """x, y, speed and heading columns at ``times``."""
     # axis 0: road along x at y=0; axis 1: road along y at x=0
     s0 = rng.uniform(lo, hi)
@@ -311,10 +327,11 @@ def _road_columns(rng, lo, hi, axis, speed_mps, times) -> tuple[tuple[float, ...
     forward, backward = (0.0, math.pi) if axis == 0 else (0.5 * math.pi, 1.5 * math.pi)
     along, signs = zip(*[_segment_position(s0, direction, speed_mps, t, lo, hi)
                          for t in times])
-    across = (0.0,) * len(times)
+    along = array("d", along)
+    across = array("d", [0.0]) * len(times)
     xs, ys = (along, across) if axis == 0 else (across, along)
-    return (xs, ys, (speed_mps,) * len(times),
-            tuple([forward if direction * sign >= 0 else backward for sign in signs]))
+    return (xs, ys, array("d", [speed_mps]) * len(times),
+            array("d", [forward if direction * sign >= 0 else backward for sign in signs]))
 
 
 def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
@@ -342,8 +359,9 @@ def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,
     hv_pos = spec.hv_position if spec.hv_position is not None else (0.0, 0.0)
     hv_phase = rng.uniform(0.0, period)
     n = len(times)
-    hv = MobilityTrace(0, times, (hv_pos[0],) * n, (hv_pos[1],) * n, (0.0,) * n,
-                       (0.0,) * n, tx_rate_hz, hv_phase)
+    zeros = array("d", [0.0]) * n
+    hv = MobilityTrace(0, times, array("d", [hv_pos[0]]) * n, array("d", [hv_pos[1]]) * n,
+                       zeros, zeros, tx_rate_hz, hv_phase)
 
     rvs = []
     for vid in range(1, spec.vehicle_count):
@@ -400,8 +418,8 @@ def _parse_row(parts: list[str], lineno: int, path: str | None):
         raise TraceParseError(str(exc), lineno, path) from None
 
 
-def _read_columns(source) -> dict[int, tuple[tuple[float, ...], ...]]:
-    """Each vehicle's checked rows, sorted by time, as the five sample columns.
+def _read_columns(source) -> dict[int, tuple[array, ...]]:
+    """Each vehicle's checked rows, sorted by time, as the five packed sample columns.
 
     ``source`` may be a path or an open text stream. The header line is
     optional; line numbers in errors are 1-based physical lines.
@@ -422,7 +440,8 @@ def _read_columns(source) -> dict[int, tuple[tuple[float, ...], ...]]:
             continue
         vid, sample = _parse_row(line.split(","), lineno, path)
         per_vehicle.setdefault(vid, []).append(sample)
-    return {vid: tuple(zip(*sorted(samples, key=lambda sample: sample[0])))
+    return {vid: tuple(array("d", column) for column in
+                       zip(*sorted(samples, key=itemgetter(0))))
             for vid, samples in per_vehicle.items()}
 
 
@@ -442,10 +461,20 @@ def trace_file_name(vehicle_id: int) -> str:
     return f"vehicle_{vehicle_id}.csv"
 
 
+WRITE_CHUNK_ROWS = 4096  # rows per write: bounds the text a writer holds at once
+
+
 def write_lines(path, header: str, rows: Iterable[str]) -> None:
-    """Write a header and rows as UTF-8 text, one LF-terminated line each."""
+    """Write a header and rows as UTF-8 text, one LF-terminated line each.
+
+    ``rows`` is consumed once, WRITE_CHUNK_ROWS at a time.
+    """
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+        fh.write(header)
+        while chunk := list(islice(rows, WRITE_CHUNK_ROWS)):
+            fh.write("\n" + "\n".join(chunk))
+        fh.write("\n")
 
 
 def write_trace_file(trace: MobilityTrace, path) -> None:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import parked_trace, run_capped_cli
@@ -100,6 +100,83 @@ class TestComputeCbp:
     def test_window_validation(self):
         with pytest.raises(ValidationError):
             compute_cbp([], static_scenario(1), MODEL, RADIO, window_s=0.0)
+
+    @pytest.mark.parametrize("hv_distance", [10.0, 2000.0])
+    def test_out_of_order_start_is_rejected(self, hv_distance):
+        # the order is checked on every event, sensed or hidden
+        sc = static_scenario(2, duration_s=0.1)
+        events = [make_event(1, 0.02), make_event(2, 0.01, hv_distance=hv_distance)]
+        with pytest.raises(ValidationError, match="start order"):
+            compute_cbp(events, sc, MODEL, RADIO, window_s=0.01)
+
+
+CBP_UNIT_S = 1e-4
+
+
+def reference_cbp(events, duration, window):
+    """Busy fraction per window: the sensed intervals sorted, then merged."""
+    intervals = sorted((ev.start_s, min(ev.end_s, duration)) for ev in events
+                       if chan.rss_dbm(RADIO, MODEL, ev.hv_distance_m)
+                       >= RADIO.cs_threshold_dbm and min(ev.end_s, duration) > ev.start_s)
+    merged = []
+    for lo, hi in intervals:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    samples, total = [], 0.0
+    for k in range(cbp_window_count(duration, window)):
+        w_lo, w_hi = k * window, min((k + 1) * window, duration)
+        occupied = 0.0
+        for lo, hi in merged:
+            if hi > w_lo and lo < w_hi:
+                occupied += min(hi, w_hi) - max(lo, w_lo)
+        samples.append((w_lo, occupied / (w_hi - w_lo) if w_hi > w_lo else 0.0))
+        total += occupied
+    return samples, total / duration
+
+
+@st.composite
+def ordered_events(draw):
+    horizon = draw(st.integers(8, 96)) * CBP_UNIT_S
+    events = []
+    start = 0.0
+    for seq in range(draw(st.integers(0, 40))):
+        # the same start again, a later one, or exactly where an earlier event
+        # ends (touching); durations run short, long enough to nest others,
+        # or past the horizon
+        ends = [ev.end_s for ev in events if ev.end_s >= start]
+        step = draw(st.sampled_from(["same", "later", "touch"] if ends else ["later"]))
+        if step == "later":
+            start += draw(st.integers(1, 12)) * CBP_UNIT_S
+        elif step == "touch":
+            start = draw(st.sampled_from(ends))
+        units = draw(st.sampled_from([1, 2, 3, 5, 8, 24, 60]))
+        distance = draw(st.sampled_from([5.0, 150.0, 835.0, 900.0, 2000.0]))
+        events.append(make_event(1 + seq % 3, start, duration=units * CBP_UNIT_S,
+                                 hv_distance=distance, seq=seq))
+    window = draw(st.sampled_from([4, 7, 16])) * CBP_UNIT_S
+    return events, horizon, window
+
+
+def touching_pair():
+    # (b - a) + (c - b) rounds above c - a here, so only a merged pair gives
+    # the merged union's window sum
+    first = make_event(1, CBP_UNIT_S, duration=CBP_UNIT_S)
+    return [first, make_event(2, first.end_s, duration=5 * CBP_UNIT_S, seq=1)]
+
+
+class TestCbpMergeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(ordered_events())
+    @example((touching_pair(), 8 * CBP_UNIT_S, 7 * CBP_UNIT_S))
+    def test_streamed_merge_equals_sort_then_merge(self, case):
+        events, horizon, window = case
+        cbp = compute_cbp(events, static_scenario(3, duration_s=horizon), MODEL, RADIO,
+                          window_s=window)
+        samples, average = reference_cbp(events, horizon, window)
+        assert cbp.samples == samples
+        assert cbp.average == average
 
 
 class TestComputePer:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from rtcsim.scenario import (MAX_COORD_M, MAX_RUN_BEACONS, MobilityTrace, Scenar
                              Topology, TopologySpec, check_run, check_sample, generate_topology,
                              generation_schedule, load_scenario, parse_trace_file,
                              position_at, save_scenario, speed_heading_at,
-                             write_trace_files)
+                             write_lines, write_trace_files)
 
 
 def disk_spec(n, radius=500.0):
@@ -384,7 +385,7 @@ class TestParseTraceFile:
         traces = parse_trace_file(io.StringIO(body))
         assert len(traces) == 1
         assert traces[0].vehicle_id == 5
-        assert traces[0].time_s == (0.0, 0.1)
+        assert tuple(traces[0].time_s) == (0.0, 0.1)
 
     def test_header_is_optional(self):
         with_header = "time_s,vehicle_id,x_m,y_m,speed_mps,heading_rad\n0.0,1,0,0,0,0\n"
@@ -412,8 +413,8 @@ class TestParseTraceFile:
     def test_rows_sorted_by_time(self):
         body = "0.2,5,2,0,0,0\n0.0,5,0,0,0,0\n0.1,5,1,0,0,0\n"
         (trace,) = parse_trace_file(io.StringIO(body))
-        assert trace.time_s == (0.0, 0.1, 0.2)
-        assert trace.x_m == (0.0, 1.0, 2.0)
+        assert tuple(trace.time_s) == (0.0, 0.1, 0.2)
+        assert tuple(trace.x_m) == (0.0, 1.0, 2.0)
 
     def test_field_range_validation(self):
         with pytest.raises(TraceParseError):
@@ -508,6 +509,89 @@ class TestTraceFilesRoundTrip:
             save_scenario(generate_topology(disk_spec(10), 5.0, 2.0, seed=55), d)
         for name in [p.name for p in a_dir.iterdir()]:
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+COLUMNS = ("time_s", "x_m", "y_m", "speed_mps", "heading_rad")
+
+
+def assert_packed(trace):
+    for name in COLUMNS:
+        column = getattr(trace, name)
+        assert type(column) is array and column.typecode == "d", name
+
+
+class TestPackedColumns:
+    def test_generated_traces_are_packed_and_share_one_time_column(self):
+        for spec in (disk_spec(4),
+                     TopologySpec(kind=Topology.LINEAR, vehicle_count=3, length_m=80.0),
+                     TopologySpec(kind=Topology.INTERSECTION, vehicle_count=3,
+                                  arm_length_m=40.0)):
+            sc = generate_topology(spec, 10.0, 1.0, seed=3)
+            for trace in sc.all_traces():
+                assert_packed(trace)
+            assert len({id(trace.time_s) for trace in sc.all_traces()}) == 1
+
+    def test_loaded_traces_are_packed(self, tmp_path):
+        save_scenario(generate_topology(disk_spec(3), 10.0, 1.0, seed=3), tmp_path)
+        for trace in load_scenario(tmp_path).all_traces():
+            assert_packed(trace)
+        for trace in parse_trace_file(tmp_path / "vehicle_1.csv"):
+            assert_packed(trace)
+
+    def test_constructor_packs_sequences_and_keeps_packed_columns(self):
+        packed = array("d", [-0.0, 2.5])
+        trace = MobilityTrace(1, [0, 1], (-0.0, 0.0), packed, array("f", [1.0, 2.0]),
+                              (0.0, 0.0))
+        assert_packed(trace)
+        assert trace.y_m is packed
+        assert [math.copysign(1.0, v) for v in trace.x_m] == [-1.0, 1.0]
+        assert type(trace.time_s[1]) is float and trace.time_s[1] == 1.0
+
+    @pytest.mark.parametrize("value", ["1.0", 10 ** 400])
+    def test_unpackable_value_is_a_validation_error(self, value):
+        with pytest.raises(ValidationError, match="x_m"):
+            MobilityTrace(1, (0.0,), (value,), (0.0,), (0.0,), (0.0,))
+
+    def test_save_load_save_writes_identical_files(self, tmp_path):
+        sc = generate_topology(TopologySpec(kind=Topology.INTERSECTION, vehicle_count=6,
+                                            arm_length_m=40.0, hv_position=(12.5, -0.0)),
+                               15.0, 2.05, seed=1)
+        save_scenario(sc, tmp_path / "a")
+        save_scenario(load_scenario(tmp_path / "a"), tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestWriteLines:
+    HEADER = "t_s,label"
+
+    @staticmethod
+    def rows(n):
+        return [f"{k * 0.1!r},v\u00e9hicule-{k}" for k in range(n)]
+
+    @pytest.mark.parametrize("n", [0, 1, scenario_module.WRITE_CHUNK_ROWS,
+                                   scenario_module.WRITE_CHUNK_ROWS + 1])
+    def test_bytes_equal_the_joined_text(self, tmp_path, n):
+        rows = self.rows(n)
+        write_lines(tmp_path / "out.csv", self.HEADER, rows)
+        expected = ("\n".join([self.HEADER, *rows]) + "\n").encode("utf-8")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+
+    def test_generator_is_consumed_once(self, tmp_path):
+        n = scenario_module.WRITE_CHUNK_ROWS + 1
+        pulled = []
+
+        def rows():
+            for row in self.rows(n):
+                pulled.append(row)
+                yield row
+
+        write_lines(tmp_path / "out.csv", self.HEADER, rows())
+        assert pulled == self.rows(n)
+        expected = ("\n".join([self.HEADER, *pulled]) + "\n").encode("utf-8")
+        assert (tmp_path / "out.csv").read_bytes() == expected
 
 
 def save_edited_manifest(directory, **values):
