@@ -34,9 +34,19 @@ the packet-error metric, interpolated in one array pass per vehicle). Beacon
 instants come from ``MobilityTrace.beacon_time``, and ``position_at``
 answers a parked host vehicle without interpolating. Backoff counters are
 worked out a vehicle row at a time, in one uint64 array pass over a chunk of
-sequence numbers, and read back per draw (``KeyedBackoffRng``). The loop
-keeps its packet counters in locals. Timings whose slot vanishes when added
-to the run's horizon are refused before the first packet is queued.
+sequence numbers, and read back per draw (``KeyedBackoffRng``). Timings
+whose slot vanishes when added to the run's horizon are refused before the
+first packet is queued.
+
+The beacon table is also the one count of each vehicle's beacons: a vehicle
+has a next beacon while its sequence number is below the length of its row,
+``packets_generated`` is the summed row lengths of the transmitting
+vehicles, and the loop keeps only its outcome counters (in locals), so the
+conservation check compares the loop's outcomes with that independent count.
+An expiry counts the packet and the rest of its vehicle's row. Every packet
+is queued below the horizon, so ``packets_queued_at_end`` is always 0; it
+stays only until the summary format drops its column. The airtime is
+``MacParams.tx_interval_s`` alone: a packet carries no duration of its own.
 
 A head deferred to exactly the first idle instant after a transmission (a
 zero or spent backoff counter, or a move out of the inter-frame space) goes
@@ -125,7 +135,6 @@ class Packet:
     seq: int
     gen_time_s: float
     sched_time_s: float
-    duration_s: float
     tx_position: tuple[float, float]
     backoff_counter: Optional[int] = None
 
@@ -168,14 +177,6 @@ class TxEvent:
     hv_distance_m: float
 
     @property
-    def transmitter_id(self) -> int:
-        return self.transmitter.vehicle_id
-
-    @property
-    def winner_id(self) -> Optional[int]:
-        return self.winner.vehicle_id if self.winner is not None else None
-
-    @property
     def arrivals(self) -> int:
         return 1 + len(self.colliders)
 
@@ -184,9 +185,14 @@ class TxEvent:
 class RunStats:
     """Packet counts and timing of one run.
 
-    Every beacon generated before the horizon is counted once. A vehicle
-    whose packet would start past the horizon queues nothing more, so its
-    later beacons count as generated and expired with that packet.
+    ``packets_generated`` is the beacon table's count: every beacon of a
+    transmitting vehicle generated before the horizon
+    (``Scenario.beacon_positions``). The other counters are the loop's
+    outcomes, and conservation compares their sum with that count. A
+    vehicle whose packet would start past the horizon queues nothing more,
+    so its later beacons expire with that packet. ``packets_queued_at_end``
+    is always 0 (no packet is queued past the horizon) and stays only until
+    the summary format drops its ``queued_at_end`` column.
     """
 
     sim_duration_s: float = 0.0
@@ -340,27 +346,26 @@ def reschedule_after_aifs(next_pkt: Packet, current_end_s: float,
     return next_pkt
 
 
-def init_queue(scenario: Scenario, params: MacParams,
-               hv_transmits: bool = True) -> list:
+def init_queue(scenario: Scenario, hv_transmits: bool = True) -> list:
     """Heap of (sched, vehicle_id, seq, Packet) holding each vehicle's first packet."""
     traces = scenario.all_traces() if hv_transmits else scenario.rv_traces
     positions = scenario.beacon_positions
     heap = []
     for trace in traces:
-        gen = trace.beacon_time(0)
-        if gen >= scenario.duration_s:
-            continue
         vid = trace.vehicle_id
-        pkt = Packet(vid, 0, gen, gen, params.tx_interval_s, positions[vid][0])
-        heap.append((gen, vid, 0, pkt))
+        if not positions[vid]:
+            continue
+        gen = trace.beacon_time(0)
+        heap.append((gen, vid, 0, Packet(vid, 0, gen, gen, positions[vid][0])))
     heapq.heapify(heap)
     return heap
 
 
-def resolve_transmission(current: Packet, overlap: list[Packet],
+def resolve_transmission(current: Packet, overlap: list[Packet], end_s: float,
                          model: PathLossModel, radio: RadioConfig,
                          hv_position: tuple[float, float]) -> TxEvent:
-    """Close a transmission: capture resolution at the host vehicle.
+    """Close a transmission that ends at ``end_s``: capture resolution at
+    the host vehicle.
 
     A lone arrival that clears the sensitivity floor must still clear the
     capture margin over the noise floor; one that fails either bar is
@@ -382,8 +387,7 @@ def resolve_transmission(current: Packet, overlap: list[Packet],
         outcome = _COLLIDED
     else:
         outcome = _BELOW_SENSITIVITY
-    start = current.sched_time_s
-    return TxEvent(current, start, start + current.duration_s, tuple(overlap),
+    return TxEvent(current, current.sched_time_s, end_s, tuple(overlap),
                    outcome, winner, hv_distance)
 
 
@@ -393,8 +397,9 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     """Generator core shared by the batch and real-time runners.
 
     The packet counters live in locals and reach ``stats`` once the queue is
-    drained or the horizon is reached. Timings whose slot vanishes when added
-    to the horizon are refused before anything is queued: every instant a
+    drained; ``generated`` is the beacon table's count, set before the loop,
+    and the loop counts only outcomes. Timings whose slot vanishes when added
+    to the horizon are refused before the queue is built: every instant a
     transmission can start lies below the horizon, so an arbitration gap of
     two such slots would round away there and let transmissions run back to
     back.
@@ -403,7 +408,7 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     if duration + params.slot_time_s == duration:
         raise ValidationError(f"slot_time_s {params.slot_time_s!r} vanishes against "
                               f"the {duration!r} s run horizon")
-    heap = init_queue(scenario, params, hv_transmits=hv_transmits)
+    heap = init_queue(scenario, hv_transmits=hv_transmits)
     # looked up per run, not per import, so a stand-in module installed
     # before the run sees every push and pop
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -416,8 +421,8 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     tx_aifs = tx + aifs
     fixed_pd = params.pd_s if params.pd_mode is PdMode.FIXED else None
     hidden_at = chan.hidden_predicate(radio, model)
-    generated = len(heap)
-    expired = decoded = collided = below = n_events = queued = 0
+    generated = sum(len(positions[entry[1]]) for entry in heap)
+    expired = decoded = collided = below = n_events = 0
     last_start = -math.inf
     # heads deferred to exactly the first idle instant after a transmission,
     # as (vehicle_id, seq, packet): one pending packet per vehicle, so
@@ -447,9 +452,6 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         if start < last_start:
             raise SchedulingError("popped packet travels back in time")
         last_start = start
-        if start >= duration:
-            queued = 1 + len(overlap) + len(heap)
-            break
 
         end = start + tx
         boundary = end + aifs
@@ -482,15 +484,13 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
             sched = head.sched_time_s
             if sched >= duration:
                 # its vehicle's later beacons expire with it (see RunStats)
-                unqueued = len(positions[head.vehicle_id]) - head.seq - 1
-                generated += unqueued
-                expired += 1 + unqueued
+                expired += len(positions[head.vehicle_id]) - head.seq
             elif sched == boundary:
                 pile.append((head.vehicle_id, head.seq, head))
             else:
                 heappush(heap, (sched, head.vehicle_id, head.seq, head))
 
-        event = resolve_transmission(current, overlap, model, radio,
+        event = resolve_transmission(current, overlap, end, model, radio,
                                      position_at(hv_trace, start))
         n_events += 1
         outcome = event.outcome
@@ -507,24 +507,21 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
         for parent in overlap:
             vid = parent.vehicle_id
             seq = parent.seq + 1
-            gen = traces[vid].beacon_time(seq)
-            if gen >= duration:
+            vehicle_positions = positions[vid]
+            if seq == len(vehicle_positions):
                 continue
+            gen = traces[vid].beacon_time(seq)
             # a vehicle contends for one packet at a time: the follow-up may
             # not hit the air before the previous one has left it plus the
             # idle gap
             floor = parent.sched_time_s + tx + aifs
             sched = gen if gen > floor else floor
-            vehicle_positions = positions[vid]
             if sched >= duration:
                 # this beacon and its vehicle's later ones expire (see RunStats)
-                unqueued = len(vehicle_positions) - seq
-                generated += unqueued
-                expired += unqueued
+                expired += len(vehicle_positions) - seq
                 continue
-            generated += 1
             heappush(heap, (sched, vid, seq,
-                            Packet(vid, seq, gen, sched, tx, vehicle_positions[seq])))
+                            Packet(vid, seq, gen, sched, vehicle_positions[seq])))
         yield event
 
     stats.packets_generated = generated
@@ -532,7 +529,6 @@ def _iter_events(scenario: Scenario, model: PathLossModel, radio: RadioConfig,
     stats.packets_decoded = decoded
     stats.packets_collided = collided
     stats.packets_below_sensitivity = below
-    stats.packets_queued_at_end = queued
     stats.events = n_events
 
 
@@ -624,7 +620,7 @@ EVENT_LOG_HEADER = "start_s,end_s,transmitter_id,outcome,winner_id,n_colliders,h
 
 def format_event_row(ev: TxEvent) -> str:
     winner = ev.winner
-    # the fields themselves, not the id properties or Enum.value's descriptor
+    # the fields themselves, not Enum.value's descriptor
     return (f"{ev.start_s!r},{ev.end_s!r},{ev.transmitter.vehicle_id},"
             f"{ev.outcome._value_},{'' if winner is None else winner.vehicle_id},"
             f"{len(ev.colliders)},{ev.hv_distance_m!r}")

@@ -7,6 +7,7 @@ per-run summary table.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -274,16 +275,11 @@ def write_rss_csv(points: list[tuple[float, float]], path) -> None:
     write_lines(path, "d_m,rss_dbm", (f"{d!r},{r!r}" for d, r in points))
 
 
-def write_plot_data(path, cbp: Optional[CbpSeries] = None,
-                    per: Optional[PerHistogram] = None,
-                    rss: Optional[list[tuple[float, float]]] = None) -> None:
+def write_plot_data(path, cbp: CbpSeries, per: PerHistogram,
+                    rss: list[tuple[float, float]]) -> None:
     """Long-format series CSV (series,x,y) for external plotting tools."""
-    lines = []
-    if cbp is not None:
-        lines.extend(f"cbp,{t!r},{b!r}" for t, b in cbp.samples)
-    if per is not None:
-        lines.extend(f"per,{(b.d_lo_m + b.d_hi_m) / 2.0!r},{b.per!r}"
-                     for b in per.bins if b.per is not None)
-    if rss is not None:
-        lines.extend(f"rss,{d!r},{r!r}" for d, r in rss)
-    write_lines(path, "series,x,y", lines)
+    write_lines(path, "series,x,y", itertools.chain(
+        (f"cbp,{t!r},{b!r}" for t, b in cbp.samples),
+        (f"per,{(b.d_lo_m + b.d_hi_m) / 2.0!r},{b.per!r}"
+         for b in per.bins if b.per is not None),
+        (f"rss,{d!r},{r!r}" for d, r in rss)))

@@ -113,7 +113,7 @@ def oracle_replay(packets: list[Packet], model: PathLossModel,
 
     events = []
     for ot in open_txs:
-        events.append(resolve_transmission(ot.owner, ot.colliders, model,
-                                           radio, hv_position))
-    events.sort(key=lambda ev: (ev.start_s, ev.transmitter_id))
+        events.append(resolve_transmission(ot.owner, ot.colliders, ot.end_s,
+                                           model, radio, hv_position))
+    events.sort(key=lambda ev: (ev.start_s, ev.transmitter.vehicle_id))
     return events

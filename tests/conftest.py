@@ -52,9 +52,9 @@ def instance_scenario(vehicles, seed: int) -> Scenario:
                     seed=seed)
 
 
-def instance_packets(vehicles, params: MacParams) -> list[Packet]:
+def instance_packets(vehicles) -> list[Packet]:
     return [Packet(vehicle_id=vid, seq=0, gen_time_s=gen, sched_time_s=gen,
-                   duration_s=params.tx_interval_s, tx_position=pos)
+                   tx_position=pos)
             for vid, pos, gen in vehicles]
 
 
@@ -80,7 +80,7 @@ def run_both_ways(seed: int, model=None, radio=None, params=None):
     vehicles = build_instance(seed)
     scenario = instance_scenario(vehicles, seed)
     scheduled, _ = mac_run(scenario, model, radio, params, hv_transmits=False)
-    replayed = oracle_replay(instance_packets(vehicles, params), model, radio,
+    replayed = oracle_replay(instance_packets(vehicles), model, radio,
                              params, tick_s=1e-6, hv_position=(0.0, 0.0),
                              rng=KeyedBackoffRng(seed, params.cw_min,
                                                  params.cw_max))

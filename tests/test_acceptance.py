@@ -100,8 +100,8 @@ def test_criterion_2_state_boundary_partition():
     checks = 0
     for hidden, cases in expected.items():
         for diff, want in cases:
-            current = Packet(1, 0, 0.0, 0.0, tx, (0.0, 0.0))
-            nxt = Packet(2, 0, diff, diff, tx, (0.0, 0.0))
+            current = Packet(1, 0, 0.0, 0.0, (0.0, 0.0))
+            nxt = Packet(2, 0, diff, diff, (0.0, 0.0))
             got = classify(current, nxt, PARAMS, hidden=hidden)
             assert got is want, (diff, hidden, got, want)
             checks += 1

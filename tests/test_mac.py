@@ -23,7 +23,8 @@ from rtcsim.metrics import (compute_cbp, compute_per, write_cbp_csv,
                             write_per_csv)
 from rtcsim.realtime import run_realtime
 from rtcsim.scenario import (MobilityTrace, Scenario, Topology, TopologySpec,
-                             generate_topology, load_scenario, save_scenario)
+                             generate_topology, generation_schedule,
+                             load_scenario, save_scenario)
 from rtcsim.wire import NullSink, event_to_record, pack_bsm
 
 MODEL = default_three_log_distance()
@@ -34,7 +35,7 @@ PARAMS = MacParams()
 def pkt(vid, sched, gen=None, pos=(0.0, 0.0), seq=0):
     gen = sched if gen is None else gen
     return Packet(vehicle_id=vid, seq=seq, gen_time_s=gen, sched_time_s=sched,
-                  duration_s=PARAMS.tx_interval_s, tx_position=pos)
+                  tx_position=pos)
 
 
 def static_scenario(positions, phases, duration_s=1.0, seed=0, rate=10.0):
@@ -275,26 +276,32 @@ class TestInitQueue:
     def test_head_is_earliest_phase(self):
         sc = static_scenario([(0, 0), (10, 0), (20, 0), (30, 0)],
                              [0.04, 0.01, 0.02, 0.03])
-        heap = init_queue(sc, PARAMS)
+        heap = init_queue(sc)
         assert heap[0][3].vehicle_id == 1  # phase 0.01
 
     def test_tie_broken_by_vehicle_id(self):
         sc = static_scenario([(0, 0), (10, 0), (20, 0)], [0.05, 0.02, 0.02])
-        heap = init_queue(sc, PARAMS)
+        heap = init_queue(sc)
         assert heap[0][3].vehicle_id == 1
 
     def test_one_entry_per_vehicle(self):
         sc = generate_topology(
             TopologySpec(kind=Topology.DISK, vehicle_count=100, radius_m=500.0),
             10.0, 20.0, seed=11)
-        assert len(init_queue(sc, PARAMS)) == 100
-        assert len(init_queue(sc, PARAMS, hv_transmits=False)) == 99
+        assert len(init_queue(sc)) == 100
+        assert len(init_queue(sc, hv_transmits=False)) == 99
 
 
 class TestResolveTransmission:
+    @staticmethod
+    def resolve(current, overlap):
+        return resolve_transmission(current, overlap,
+                                    current.sched_time_s + PARAMS.tx_interval_s,
+                                    MODEL, RADIO, (0.0, 0.0))
+
     def test_clean_transmission_decodes(self):
         current = pkt(1, 0.0, pos=(10.0, 0.0))
-        ev = resolve_transmission(current, [], MODEL, RADIO, (0.0, 0.0))
+        ev = self.resolve(current, [])
         assert ev.outcome is Outcome.DECODED
         assert ev.winner is current
         assert ev.hv_distance_m == 10.0
@@ -303,7 +310,7 @@ class TestResolveTransmission:
     def test_equidistant_overlap_collides(self):
         current = pkt(1, 0.0, pos=(100.0, 0.0))
         other = pkt(2, 0.0, pos=(-100.0, 0.0))
-        ev = resolve_transmission(current, [other], MODEL, RADIO, (0.0, 0.0))
+        ev = self.resolve(current, [other])
         assert ev.outcome is Outcome.COLLIDED
         assert ev.winner is None
 
@@ -312,13 +319,13 @@ class TestResolveTransmission:
         far = pkt(2, 0.0, pos=(400.0, 0.0))
         gap = (rss_dbm(RADIO, MODEL, 50.0) - rss_dbm(RADIO, MODEL, 400.0))
         assert gap >= RADIO.capture_margin_db  # premise of the example
-        ev = resolve_transmission(current, [far], MODEL, RADIO, (0.0, 0.0))
+        ev = self.resolve(current, [far])
         assert ev.outcome is Outcome.DECODED
         assert ev.winner is current
 
     def test_sole_weak_arrival_below_sensitivity(self):
         current = pkt(1, 0.0, pos=(2000.0, 0.0))
-        ev = resolve_transmission(current, [], MODEL, RADIO, (0.0, 0.0))
+        ev = self.resolve(current, [])
         assert ev.outcome is Outcome.BELOW_SENSITIVITY
 
 
@@ -386,7 +393,7 @@ class TestRun:
         first, second = events[0], events[1]
         assert first.start_s == 0.01
         counter = KeyedBackoffRng(9, 0, 15).draw(
-            Packet(1, 0, 0.0101, 0.0101, 0, (10.0, 0.0)))
+            Packet(1, 0, 0.0101, 0.0101, (10.0, 0.0)))
         assert counter > 0  # exercise the slot term, not just the gap
         expected = first.end_s + PARAMS.aifs_s + counter * PARAMS.slot_time_s
         assert second.start_s == pytest.approx(expected, abs=1e-15)
@@ -416,8 +423,8 @@ class TestRun:
         sc = generate_topology(spec, 10.0, 5.0, seed=99)
         a, _ = run(sc, MODEL, RADIO, PARAMS)
         b, _ = run(sc, MODEL, RADIO, PARAMS)
-        assert [(e.start_s, e.transmitter_id, e.outcome) for e in a] == \
-            [(e.start_s, e.transmitter_id, e.outcome) for e in b]
+        assert [(e.start_s, e.transmitter.vehicle_id, e.outcome) for e in a] == \
+            [(e.start_s, e.transmitter.vehicle_id, e.outcome) for e in b]
 
     def test_expired_packets_counted(self):
         # the second vehicle senses the first and defers, but its backoff
@@ -456,9 +463,41 @@ class TestRun:
                                  [0.0, 0.0, k * 1e-5], duration_s=0.05,
                                  rate=1500.0)
             _, stats = run(sc, MODEL, RADIO, PARAMS, hv_transmits=False)
-            beacons = sum(len(sc.beacon_positions[vid]) for vid in (1, 2))
+            beacons = sum(len(generation_schedule(t, sc.duration_s))
+                          for t in sc.rv_traces)
             assert stats.packets_generated == beacons, k
+            assert stats.packets_queued_at_end == 0, k
             assert stats.conservation_holds(), k
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(vehicles=st.lists(
+               st.tuples(st.sampled_from([10.0, 250.0, 1000.0, 1500.0, 2000.0]),
+                         st.floats(0.0, 0.999), st.floats(-600.0, 600.0)),
+               min_size=1, max_size=4),
+           moving_host=st.booleans(), hv_transmits=st.booleans(),
+           window=st.sampled_from([(0, 15), (0, 0), (7, 7)]),
+           seed=st.integers(0, 2**64 - 1))
+    def test_generated_is_the_beacon_count_of_the_transmitters(
+            self, vehicles, moving_host, hv_transmits, window, seed):
+        # mixed rates and phases overload the channel, so packets expire after
+        # a backoff, on the contention floor and on the first idle instant;
+        # vehicles over 836 m apart are hidden from each other
+        duration = 0.03
+        traces = [parked_trace(vid, (x, 0.0), (0.0, duration), rate, frac / rate)
+                  for vid, (rate, frac, x) in enumerate(vehicles)]
+        if moving_host:
+            host = traces[0]
+            traces[0] = MobilityTrace(0, (0.0, duration), (-100.0, 100.0), (0.0, 0.0),
+                                      (200.0 / duration,) * 2, (0.0, 0.0),
+                                      host.tx_rate_hz, host.gen_phase_s)
+        sc = Scenario(traces[0], tuple(traces[1:]), duration, seed)
+        params = MacParams(cw_min=window[0], cw_max=window[1])
+        _, stats = run(sc, MODEL, RADIO, params, hv_transmits=hv_transmits)
+        senders = traces if hv_transmits else traces[1:]
+        assert stats.packets_generated == sum(len(generation_schedule(t, duration))
+                                              for t in senders)
+        assert stats.packets_queued_at_end == 0
+        assert stats.conservation_holds()
 
 
 class TestCollectionWindow:

@@ -35,7 +35,7 @@ def static_scenario(n_rvs, duration_s=1.0, spacing_m=50.0, rate=10.0):
 
 def make_event(vid, start, duration=440e-6, hv_distance=10.0,
                outcome=Outcome.DECODED, colliders=(), pos=(10.0, 0.0), seq=0):
-    packet = Packet(vid, seq, start, start, duration, pos)
+    packet = Packet(vid, seq, start, start, pos)
     winner = packet if outcome is Outcome.DECODED else None
     return TxEvent(transmitter=packet, start_s=start, end_s=start + duration,
                    colliders=tuple(colliders), outcome=outcome, winner=winner,

@@ -21,7 +21,7 @@ PARAMS = MacParams()
 
 def pkt(vid, sched, pos=(0.0, 0.0), counter=None):
     p = Packet(vehicle_id=vid, seq=0, gen_time_s=sched, sched_time_s=sched,
-               duration_s=PARAMS.tx_interval_s, tx_position=pos)
+               tx_position=pos)
     p.backoff_counter = counter
     return p
 
@@ -39,7 +39,7 @@ class TestOracleAlone:
                                 pkt(2, 0.001, (-100.0, 0.0))],
                                MODEL, RADIO, PARAMS)
         assert len(events) == 1
-        assert events[0].transmitter_id == 1
+        assert events[0].transmitter.vehicle_id == 1
         assert [c.vehicle_id for c in events[0].colliders] == [2]
         assert events[0].outcome is Outcome.COLLIDED
 
@@ -91,7 +91,7 @@ def exact_rows(vehicles, params, seed=0):
     """Event rows and collider ids of the scheduler and of the replay."""
     scheduled, _ = run(instance_scenario(vehicles, seed), MODEL, RADIO, params,
                        hv_transmits=False)
-    replayed = oracle_replay(instance_packets(vehicles, params), MODEL, RADIO,
+    replayed = oracle_replay(instance_packets(vehicles), MODEL, RADIO,
                              params, rng=KeyedBackoffRng(seed, params.cw_min,
                                                          params.cw_max))
     return [[(format_event_row(ev), [c.vehicle_id for c in ev.colliders])
@@ -138,11 +138,11 @@ class TestBandEdgesThroughTheLoop:
                                        st.integers(-3, 3))] * 2),
            seed=st.integers(0, 2**32))
     def test_scheduler_rows_match_the_replay(self, params, start, xs, edges, seed):
-        first = Packet(1, 0, start, start, params.tx_interval_s, (xs[0], 0.0))
+        first = Packet(1, 0, start, start, (xs[0], 0.0))
         vehicles = [(1, first.tx_position, start)]
         for vid, (x, (edge, ulps)) in enumerate(zip(xs[1:], edges), start=2):
             pos = (x, 0.0)
-            offset = {"pd": params.pd_for(first, Packet(vid, 0, 0.0, 0.0, 0.0, pos)),
+            offset = {"pd": params.pd_for(first, Packet(vid, 0, 0.0, 0.0, pos)),
                       "tx": params.tx_interval_s,
                       "tx_aifs": params.tx_interval_s + params.aifs_s}[edge]
             vehicles.append((vid, pos, max(0.0, nudged(start + offset, ulps))))
