@@ -83,16 +83,26 @@ class TopologySpec:
             raise ValidationError("linear topology needs length_m > 0")
         if self.kind is Topology.INTERSECTION and self.arm_length_m <= 0:
             raise ValidationError("intersection topology needs arm_length_m > 0")
+        # rng.uniform places vehicles only over a finite range, 2 * arm_length_m on a crossing
+        if not all(map(math.isfinite, (self.radius_m, self.length_m, 2.0 * self.arm_length_m))):
+            raise ValidationError(
+                f"topology dimensions must be finite, and so must 2 * arm_length_m; got "
+                f"radius_m={self.radius_m!r}, length_m={self.length_m!r}, "
+                f"arm_length_m={self.arm_length_m!r}")
+
+
+def _sample_ok(time_s, x_m, y_m, speed_mps, heading_rad):
+    """The trace-sample rule on one row's floats or, elementwise, on float64 columns."""
+    # & where `and` would refuse an array; every comparison is false for NaN
+    return ((0.0 <= time_s) & (time_s < _INF) & (abs(x_m) <= MAX_COORD_M)
+            & (abs(y_m) <= MAX_COORD_M) & (0.0 <= speed_mps) & (speed_mps < _INF)
+            & (0.0 <= heading_rad) & (heading_rad < TWO_PI))
 
 
 def check_sample(time_s: float, x_m: float, y_m: float, speed_mps: float,
                  heading_rad: float) -> None:
     """The rule every trace sample obeys, one row of a trace file."""
-    # chained comparisons are false for NaN and cheap: a generated run
-    # checks one sample per vehicle per SAMPLE_PERIOD_S
-    if not (0.0 <= time_s < _INF and -MAX_COORD_M <= x_m <= MAX_COORD_M
-            and -MAX_COORD_M <= y_m <= MAX_COORD_M
-            and 0.0 <= speed_mps < _INF and 0.0 <= heading_rad < TWO_PI):
+    if not _sample_ok(time_s, x_m, y_m, speed_mps, heading_rad):
         raise ValidationError(
             f"a trace sample needs finite time_s >= 0 and speed_mps >= 0, x_m and y_m "
             f"within +-{MAX_COORD_M:g}, and heading_rad in [0, 2*pi); "
@@ -131,11 +141,12 @@ class MobilityTrace:
         columns = (times, self.x_m, self.y_m, self.speed_mps, self.heading_rad)
         if any(len(column) != len(times) for column in columns):
             raise ValidationError(f"vehicle {self.vehicle_id}: trace columns differ in length")
-        # unpacked so that zip reuses one tuple: a read from a packed column
-        # already makes a float per value
-        for t, x, y, speed, heading in zip(*columns):
-            check_sample(t, x, y, speed, heading)
-        t = np.frombuffer(times)
+        # one array pass per column; check_sample reports the first failing row
+        values = [np.frombuffer(column) for column in columns]
+        ok = _sample_ok(*values)
+        if not ok.all():
+            check_sample(*(column[int(ok.argmin())] for column in columns))
+        t = values[0]
         later = t[1:] <= t[:-1]
         if later.any():
             raise ValidationError(
@@ -291,6 +302,13 @@ def _sample_grid(duration_s: float) -> array:
     return times
 
 
+def _packed(values: np.ndarray) -> array:
+    """float64 ``values`` in an exact-size ``array('d')``; ``frombytes`` would over-allocate."""
+    packed = array("d", [0.0]) * len(values)
+    memoryview(packed)[:] = values
+    return packed
+
+
 def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[array, ...]:
     """x, y, speed and heading columns at ``times``."""
     # uniform over the disk area, then constant-speed circular motion about
@@ -298,40 +316,36 @@ def _disk_columns(rng, radius_m, speed_mps, times) -> tuple[array, ...]:
     r = radius_m * math.sqrt(rng.uniform(0.0, 1.0))
     theta0 = rng.uniform(0.0, TWO_PI)
     omega = speed_mps / max(r, 1.0)
-    thetas = [theta0 + omega * t for t in times]
-    cos, sin, quarter = math.cos, math.sin, 0.5 * math.pi
-    return (array("d", [r * cos(theta) for theta in thetas]),
-            array("d", [r * sin(theta) for theta in thetas]),
-            array("d", [omega * r]) * len(times),
-            array("d", [(theta + quarter) % TWO_PI for theta in thetas]))
-
-
-def _segment_position(s0: float, direction: int, speed: float, t: float,
-                      lo: float, hi: float) -> tuple[float, float]:
-    """1-D position and travel sign on [lo, hi] with elastic end reflection."""
-    span = hi - lo
-    if span <= 0 or speed == 0.0:
-        return s0, float(direction)
-    u = (s0 - lo) + direction * speed * t
-    m = u % (2.0 * span)
-    if m <= span:
-        return lo + m, 1.0
-    return lo + 2.0 * span - m, -1.0
+    # numpy's + * % round each sample as Python's operators do; cos and sin
+    # stay libm's, one call per sample
+    thetas = theta0 + omega * np.frombuffer(times)
+    angles, n = thetas.tolist(), len(times)
+    return (_packed(r * np.fromiter(map(math.cos, angles), float, n)),
+            _packed(r * np.fromiter(map(math.sin, angles), float, n)),
+            array("d", [omega * r]) * n,
+            _packed((thetas + 0.5 * math.pi) % TWO_PI))
 
 
 def _road_columns(rng, lo, hi, axis, speed_mps, times) -> tuple[array, ...]:
-    """x, y, speed and heading columns at ``times``."""
+    """x, y, speed and heading columns at ``times``, reflecting off both ends of [lo, hi]."""
     # axis 0: road along x at y=0; axis 1: road along y at x=0
     s0 = rng.uniform(lo, hi)
     direction = 1 if rng.integers(0, 2) == 1 else -1
     forward, backward = (0.0, math.pi) if axis == 0 else (0.5 * math.pi, 1.5 * math.pi)
-    along, signs = zip(*[_segment_position(s0, direction, speed_mps, t, lo, hi)
-                         for t in times])
-    along = array("d", along)
-    across = array("d", [0.0]) * len(times)
+    n, span = len(times), hi - lo
+    if span <= 0 or speed_mps == 0.0:  # parked at s0, facing forward
+        along, headings = array("d", [s0]) * n, array("d", [forward]) * n
+    else:
+        # travelled distance folded onto one round trip: out to span, then back;
+        # a position that overflows fails the sample check, which reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = ((s0 - lo) + direction * speed_mps * np.frombuffer(times)) % (2.0 * span)
+            out = m <= span
+            along = _packed(np.where(out, lo + m, lo + 2.0 * span - m))
+        headings = _packed(np.where(out == (direction == 1), forward, backward))
+    across = array("d", [0.0]) * n
     xs, ys = (along, across) if axis == 0 else (across, along)
-    return (xs, ys, array("d", [speed_mps]) * len(times),
-            array("d", [forward if direction * sign >= 0 else backward for sign in signs]))
+    return xs, ys, array("d", [speed_mps]) * n, headings
 
 
 def generate_topology(spec: TopologySpec, speed_mps: float, duration_s: float,

@@ -122,6 +122,18 @@ class TestGen:
         assert code == EXIT_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_road_without_finite_range_is_one_line_config_error(self, tmp_path, capsys):
+        # each arm is finite, but the road of two is 2e308 long: the placement
+        # draw cannot span it
+        out = tmp_path / "o"
+        code = run_cli("gen", "--topology", "intersection", "--arm-length", "1e308",
+                       "--vehicles", "4", "--out", str(out))
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology dimensions must be finite")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_generated_scenario_loads_back(self, tmp_path):
         out = tmp_path / "scen"
         run_cli("gen", "--topology", "intersection", "--vehicles", "10",

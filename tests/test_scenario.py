@@ -5,8 +5,10 @@ import hashlib
 import io
 import json
 import math
+import sys
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from rtcsim.cli import EXIT_CONFIG
 from rtcsim import scenario as scenario_module
 from rtcsim.cli import main as cli_main
 from rtcsim.errors import TraceParseError, ValidationError
-from rtcsim.scenario import (MAX_COORD_M, MAX_RUN_BEACONS, MobilityTrace, Scenario,
+from rtcsim.scenario import (MAX_COORD_M, MAX_RUN_BEACONS, TWO_PI, MobilityTrace, Scenario,
                              Topology, TopologySpec, check_run, check_sample, generate_topology,
                              generation_schedule, load_scenario, parse_trace_file,
                              position_at, save_scenario, speed_heading_at,
@@ -40,6 +42,30 @@ class TestTopologySpec:
     def test_vehicle_count_minimum(self):
         with pytest.raises(ValidationError):
             TopologySpec(kind=Topology.DISK, vehicle_count=0, radius_m=500)
+
+    # a vehicle is placed by a uniform draw over its road, which numpy refuses
+    # over an infinite range
+    @pytest.mark.parametrize("kind,dimension,value", [
+        (Topology.LINEAR, "length_m", math.inf),
+        (Topology.LINEAR, "length_m", math.nan),
+        (Topology.INTERSECTION, "arm_length_m", 1e308),
+        (Topology.INTERSECTION, "arm_length_m", math.nextafter(sys.float_info.max / 2, math.inf)),
+        (Topology.DISK, "radius_m", math.inf),
+        (Topology.DISK, "length_m", math.nan)])
+    def test_non_finite_dimension_or_range_rejected(self, kind, dimension, value):
+        sizes = {"radius_m": 1.0, "length_m": 1.0, "arm_length_m": 1.0, dimension: value}
+        with pytest.raises(ValidationError, match="must be finite"):
+            TopologySpec(kind=kind, vehicle_count=4, **sizes)
+
+    def test_largest_finite_ranges_accepted(self):
+        TopologySpec(Topology.LINEAR, 4, length_m=sys.float_info.max)
+        TopologySpec(Topology.INTERSECTION, 4, arm_length_m=sys.float_info.max / 2)
+        TopologySpec(Topology.DISK, 4, radius_m=sys.float_info.max)
+        # wide roads still generate while every position stays within MAX_COORD_M
+        for spec in (TopologySpec(Topology.LINEAR, 4, length_m=2e306),
+                     TopologySpec(Topology.INTERSECTION, 4, arm_length_m=1e306)):
+            sc = generate_topology(spec, 10.0, 1.0, seed=1)
+            assert max(abs(v) for t in sc.rv_traces for v in (*t.x_m, *t.y_m)) <= 1e306
 
 
 class TestGenerateTopology:
@@ -453,9 +479,10 @@ class TestTraceFilesRoundTrip:
         loaded = load_scenario(tmp_path)
         assert loaded == sc
 
-    def test_each_loaded_sample_is_checked_twice(self, tmp_path, monkeypatch):
-        # once as its row is parsed, once by the trace built with the
-        # manifest's rate and phase
+    def test_each_loaded_sample_is_checked_once(self, tmp_path, monkeypatch):
+        # by check_sample as its row is parsed, with its line number; the trace
+        # built with the manifest's rate and phase judges whole columns and
+        # calls check_sample only to report a failing row
         sc = generate_topology(disk_spec(11), 8.0, 2.0, seed=77)
         save_scenario(sc, tmp_path)
         calls = []
@@ -469,7 +496,15 @@ class TestTraceFilesRoundTrip:
         assert loaded == sc
         samples = sum(len(trace.time_s) for trace in sc.all_traces())
         assert samples == 11 * 21
-        assert len(calls) == 2 * samples
+        assert len(calls) == samples
+        # a trace built directly reports its first bad row as check_sample does
+        columns = [[float(k) for k in range(5)]] + [[0.0] * 5 for _ in range(4)]
+        columns[4][3] = TWO_PI
+        with pytest.raises(ValidationError) as direct:
+            MobilityTrace(1, *columns)
+        with pytest.raises(ValidationError) as row:
+            check_sample(3.0, 0.0, 0.0, 0.0, TWO_PI)
+        assert str(direct.value) == str(row.value)
 
     @pytest.mark.parametrize("key", ["vehicles", "hv_id", "duration_s", "seed"])
     def test_manifest_missing_key_rejected(self, tmp_path, key):
@@ -530,6 +565,17 @@ class TestPackedColumns:
             for trace in sc.all_traces():
                 assert_packed(trace)
             assert len({id(trace.time_s) for trace in sc.all_traces()}) == 1
+
+    def test_generated_columns_hold_no_spare_capacity(self):
+        # columns live as long as the scenario; an over-allocated one wastes its tail
+        for spec in (disk_spec(4),
+                     TopologySpec(kind=Topology.LINEAR, vehicle_count=4, length_m=80.0),
+                     TopologySpec(kind=Topology.INTERSECTION, vehicle_count=4,
+                                  arm_length_m=40.0)):
+            for trace in generate_topology(spec, 10.0, 20.0, seed=3).rv_traces:
+                for name in COLUMNS[1:]:
+                    column = getattr(trace, name)
+                    assert sys.getsizeof(column) == sys.getsizeof(array("d", column)), name
 
     def test_loaded_traces_are_packed(self, tmp_path):
         save_scenario(generate_topology(disk_spec(3), 10.0, 1.0, seed=3), tmp_path)
@@ -821,3 +867,131 @@ class TestScenarioInvariants:
     def test_phase_must_sit_inside_period(self):
         with pytest.raises(ValidationError):
             parked_trace(1, (0, 0), (0,), 10.0, 0.2)
+
+
+def reference_sample_ok(time_s, x_m, y_m, speed_mps, heading_rad):
+    """The sample rule spelled with chained comparisons, one row at a time."""
+    return (0.0 <= time_s < math.inf and -MAX_COORD_M <= x_m <= MAX_COORD_M
+            and -MAX_COORD_M <= y_m <= MAX_COORD_M
+            and 0.0 <= speed_mps < math.inf and 0.0 <= heading_rad < TWO_PI)
+
+
+def around(value):
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+# every edge of the rule with its float neighbours
+SAMPLE_EDGES = [math.nan, math.inf, -math.inf, 1.0, *around(0.0), -0.0,
+                *around(MAX_COORD_M), *around(-MAX_COORD_M), *around(TWO_PI)]
+
+
+class TestSampleRule:
+    """MobilityTrace's column pass against ``check_sample`` row by row."""
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(rows=st.integers(1, 6),
+           edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4),
+                                    st.sampled_from(SAMPLE_EDGES)), max_size=4))
+    def test_trace_raises_for_the_first_failing_row(self, rows, edits):
+        columns = [[float(k) for k in range(rows)]] + [[0.0] * rows for _ in range(4)]
+        for row, column, value in edits:
+            columns[column][row % rows] = value
+        samples = list(zip(*columns))
+        failing = []
+        for sample in samples:
+            try:
+                check_sample(*sample)
+            except ValidationError as exc:
+                failing.append(str(exc))
+            assert (not failing) == reference_sample_ok(*sample), sample
+            if failing:
+                break
+        increasing = all(a < b for a, b in zip(columns[0], columns[0][1:]))
+        if failing or not increasing:
+            with pytest.raises(ValidationError) as raised:
+                MobilityTrace(1, *columns)
+            # the sample check runs first, so a bad row wins over a repeated time
+            expected = failing[0] if failing else "strictly increasing"
+            assert expected in str(raised.value)
+        else:
+            MobilityTrace(1, *columns)
+
+
+def reference_disk_columns(rng, radius_m, speed_mps, times):
+    """The disk generator's formulas applied one sample at a time."""
+    r = radius_m * math.sqrt(rng.uniform(0.0, 1.0))
+    theta0 = rng.uniform(0.0, TWO_PI)
+    omega = speed_mps / max(r, 1.0)
+    thetas = [theta0 + omega * t for t in times]
+    return (array("d", [r * math.cos(theta) for theta in thetas]),
+            array("d", [r * math.sin(theta) for theta in thetas]),
+            array("d", [omega * r]) * len(times),
+            array("d", [(theta + 0.5 * math.pi) % TWO_PI for theta in thetas]))
+
+
+def reference_segment_position(s0, direction, speed, t, lo, hi):
+    """1-D position and travel sign on [lo, hi] with elastic end reflection."""
+    span = hi - lo
+    if span <= 0 or speed == 0.0:
+        return s0, float(direction)
+    u = (s0 - lo) + direction * speed * t
+    m = u % (2.0 * span)
+    if m <= span:
+        return lo + m, 1.0
+    return lo + 2.0 * span - m, -1.0
+
+
+def reference_road_columns(rng, lo, hi, axis, speed_mps, times):
+    """The road generator's reflection applied one sample at a time."""
+    s0 = rng.uniform(lo, hi)
+    direction = 1 if rng.integers(0, 2) == 1 else -1
+    forward, backward = (0.0, math.pi) if axis == 0 else (0.5 * math.pi, 1.5 * math.pi)
+    along, signs = zip(*[reference_segment_position(s0, direction, speed_mps, t, lo, hi)
+                         for t in times])
+    along = array("d", along)
+    across = array("d", [0.0]) * len(times)
+    xs, ys = (along, across) if axis == 0 else (across, along)
+    return (xs, ys, array("d", [speed_mps]) * len(times),
+            array("d", [forward if direction * sign >= 0 else backward for sign in signs]))
+
+
+def assert_same_columns(columns, reference):
+    assert [type(c) for c in columns] == [array] * 4
+    assert [c.tobytes() for c in columns] == [c.tobytes() for c in reference]
+
+
+# a zero speed, the smallest and one whose 20 s travel nears the float range
+speeds = st.one_of(st.sampled_from([0.0, 5e-324, 8e306]),
+                   st.floats(min_value=0.0, max_value=100.0))
+# mostly off the 0.1 s sample grid, so the grid ends on the duration itself
+durations = st.one_of(st.sampled_from([2.05, 20.0]),
+                      st.floats(min_value=1e-3, max_value=20.0))
+
+
+class TestGeneratorColumns:
+    """The array generators against their scalar formulas, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), speed=speeds, duration=durations,
+           radius=st.one_of(st.floats(min_value=5e-324, max_value=1.0),
+                            st.floats(min_value=1.0, max_value=1e4)))
+    def test_disk_columns(self, seed, speed, duration, radius):
+        times = scenario_module._sample_grid(duration)
+        columns = scenario_module._disk_columns(np.random.default_rng(seed), radius,
+                                                speed, times)
+        assert_same_columns(columns, reference_disk_columns(
+            np.random.default_rng(seed), radius, speed, times))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**64 - 1), speed=speeds, duration=durations,
+           size=st.one_of(st.sampled_from([5e-324, 1e-323, 1e307]),
+                          st.floats(min_value=5e-324, max_value=1e307)),
+           intersection=st.booleans(), axis=st.integers(0, 1))
+    def test_road_columns(self, seed, speed, duration, size, intersection, axis):
+        # the bounds generate_topology passes: a linear road's halves, an arm
+        lo, hi = (-size, size) if intersection else (-size / 2.0, size / 2.0)
+        times = scenario_module._sample_grid(duration)
+        columns = scenario_module._road_columns(np.random.default_rng(seed), lo, hi, axis,
+                                                speed, times)
+        assert_same_columns(columns, reference_road_columns(
+            np.random.default_rng(seed), lo, hi, axis, speed, times))
